@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import (GpModel, KernelParams, build_model, cov_matrix_time_derivative,
-                 mean_gradient, predictive_mean, query_cov_time_derivative)
+from .gp import GpModel, KernelParams, build_model, mean_terms
 from .perception.grid import ObstacleGridMap, VelocityGridMap
 
 
 class EmptyDataset(Exception):
     """Barrier queried without any training data; caller falls back to nominal."""
-
-
-class ClampedRegion(Exception):
-    """Posterior mean fell to the clamp floor; derivatives are unreliable there."""
 
 
 VARIANTS = ("dlgp", "dlgp-no-dhdt", "gp-linear")
@@ -92,85 +87,55 @@ def build_datasets(obstacle_grid: ObstacleGridMap, velocity_grid: VelocityGridMa
     return points, velocities
 
 
+def _gp_terms(model: GpModel | None, queries, velocities=None):
+    """gp.mean_terms, refusing a missing or empty model."""
+    if model is None or model.size == 0:
+        raise EmptyDataset("barrier evaluated without training points")
+    return mean_terms(model, queries, velocities)
+
+
+def _log_value(mu, params: BarrierParams):
+    """-scale * log(max(mu, mu_floor)) - margin_shift, elementwise."""
+    return -params.scale * np.log(np.maximum(mu, params.mu_floor)) - params.margin_shift
+
+
 def evaluate(model: GpModel, params: BarrierParams, position) -> float:
-    """Barrier value -scale * log(max(mu, mu_floor)) - margin_shift."""
-    if model is None or model.size == 0:
-        raise EmptyDataset("barrier evaluated without training points")
-    mu = predictive_mean(model, position)
-    return -params.scale * np.log(max(mu, params.mu_floor)) - params.margin_shift
-
-
-def spatial_gradient(model: GpModel, params: BarrierParams, position) -> np.ndarray:
-    """Barrier gradient w.r.t. the robot state, shape (3,); heading entry is 0."""
-    if model is None or model.size == 0:
-        raise EmptyDataset("barrier evaluated without training points")
-    mu = predictive_mean(model, position)
-    if mu <= params.mu_floor:
-        raise ClampedRegion(f"posterior mean {mu:.3e} at or below the clamp floor")
-    grad_pos = -params.scale * mean_gradient(model, position) / mu
-    return np.array([grad_pos[0], grad_pos[1], 0.0])
-
-
-def time_derivative(model: GpModel, params: BarrierParams, position, velocities) -> float:
-    """Barrier rate of change induced by the motion of the training points.
-
-    Uses the dense forms: dmu/dt = kdot~^T alpha - (K^-1 k~)^T Kdot alpha,
-    and dh/dt = -scale * (dmu/dt) / mu. Zero whenever all velocities vanish.
-    """
-    if model is None or model.size == 0:
-        raise EmptyDataset("barrier evaluated without training points")
-    kv = model.kernel_vector(position)
-    mu = float(kv @ model.alpha)
-    if mu <= params.mu_floor:
-        raise ClampedRegion(f"posterior mean {mu:.3e} at or below the clamp floor")
-    return -params.scale * _mean_rate(model, kv, position, velocities) / mu
-
-
-def _mean_rate(model: GpModel, kernel_vec: np.ndarray, position, velocities) -> float:
-    """d(mu)/dt as the training points move with the given velocities."""
-    kdot = cov_matrix_time_derivative(model, velocities)
-    kvec_dot = query_cov_time_derivative(model, position, velocities)
-    w = model.solve(kernel_vec)
-    return float(kvec_dot @ model.alpha - w @ (kdot @ model.alpha))
+    """Barrier value at one position."""
+    mu, _, _ = _gp_terms(model, position)
+    return float(_log_value(mu[0], params))
 
 
 def evaluate_full(model: GpModel, params: BarrierParams, position, velocities,
                   variant: str = "dlgp") -> BarrierEvaluation:
-    """Value, gradient and time derivative in one pass, with variant dispatch.
+    """Value, gradient and time derivative at one position, with variant dispatch.
 
-    Unlike the single-quantity functions this never raises on a clamped
-    region; it sets the flag and zeroes the derivatives so the controller can
-    fall back without exception plumbing.
+    With the log transform, grad h = -scale * grad mu / mu and
+    dh/dt = -scale * (dmu/dt) / mu. Where mu has fallen to the clamp floor the
+    derivatives are unreliable: the clamped flag is set and they are zeroed,
+    so the controller can fall back. dlgp-no-dhdt skips the time derivative.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown barrier variant {variant!r}")
-    if model is None or model.size == 0:
-        raise EmptyDataset("barrier evaluated without training points")
-    pos = np.asarray(position, dtype=float)
-    kv = model.kernel_vector(pos)
-    mu = float(kv @ model.alpha)
+    moving = None if variant == "dlgp-no-dhdt" else velocities
+    mu_q, grad_q, rate_q = _gp_terms(model, position, moving)
+    mu = float(mu_q[0])
 
     if variant == "gp-linear":
-        value = params.linear_prior - mu
-        grad_pos = -mean_gradient(model, pos)
-        dhdt = -_mean_rate(model, kv, pos, velocities)
-        return BarrierEvaluation(value=value,
+        grad_pos = -grad_q[0]
+        return BarrierEvaluation(value=params.linear_prior - mu,
                                  grad_state=np.array([grad_pos[0], grad_pos[1], 0.0]),
-                                 time_derivative=dhdt, mu=mu, clamped=False)
+                                 time_derivative=-float(rate_q[0]), mu=mu,
+                                 clamped=False)
 
-    clamped = mu <= params.mu_floor
-    value = -params.scale * np.log(max(mu, params.mu_floor)) - params.margin_shift
-    if clamped:
+    value = float(_log_value(mu, params))
+    if mu <= params.mu_floor:
         return BarrierEvaluation(value=value, grad_state=np.zeros(3),
                                  time_derivative=0.0, mu=mu, clamped=True)
-    grad_pos = -params.scale * mean_gradient(model, pos) / mu
-    if variant == "dlgp-no-dhdt":
-        dhdt = 0.0
-    else:
-        dhdt = -params.scale * _mean_rate(model, kv, pos, velocities) / mu
+    grad_pos = -params.scale * grad_q[0] / mu
+    dhdt = 0.0 if rate_q is None else -params.scale * float(rate_q[0]) / mu
     return BarrierEvaluation(value=value,
                              grad_state=np.array([grad_pos[0], grad_pos[1], 0.0]),
-                             time_derivative=dhdt, mu=mu, clamped=clamped)
+                             time_derivative=dhdt, mu=mu, clamped=False)
 
 
 def model_from_datasets(points: np.ndarray, kernel: KernelParams) -> GpModel | None:
@@ -192,13 +157,12 @@ def export_field(model: GpModel, params: BarrierParams, path,
         raise ValueError("resolution must be > 0")
     xs = np.arange(x_range[0], x_range[1] + 0.5 * resolution, resolution)
     ys = np.arange(y_range[0], y_range[1] + 0.5 * resolution, resolution)
-    rows = 0
+    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    mu, _, _ = _gp_terms(model, grid)
+    values = _log_value(mu, params)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x", "y", "h"])
-        for x in xs:
-            for y in ys:
-                h = evaluate(model, params, (x, y))
-                writer.writerow([f"{x:.6f}", f"{y:.6f}", f"{h:.9f}"])
-                rows += 1
-    return rows
+        writer.writerows([f"{x:.6f}", f"{y:.6f}", f"{h:.9f}"]
+                         for (x, y), h in zip(grid, values))
+    return len(values)

@@ -20,6 +20,12 @@ from .gp import GpModel
 from .simworld import RobotState
 
 
+# Relative overshoot of the (v, omega) box that still counts as inside it:
+# rounding in the lead-point map can turn a command of norm v_max along the
+# heading into v = v_max (1 + 2.2e-16), which is not saturation.
+SATURATION_RTOL = 1e-9
+
+
 class InfeasibleConstraint(Exception):
     """The safety halfspace is empty (zero gradient with negative offset)."""
 
@@ -193,6 +199,7 @@ def control_step(robot: RobotState, model: GpModel | None, velocities,
     control = lead_to_unicycle(u_lead, robot.theta, params.lead_offset,
                                params.v_max, params.omega_max)
     raw = lead_to_unicycle(u_lead, robot.theta, params.lead_offset)
-    diag.saturated = bool(abs(raw.v - control.v) > 0.0
-                          or abs(raw.omega - control.omega) > 0.0)
+    diag.saturated = bool(
+        abs(raw.v - control.v) > SATURATION_RTOL * params.v_max
+        or abs(raw.omega - control.omega) > SATURATION_RTOL * params.omega_max)
     return control, evaluation, diag

@@ -122,9 +122,9 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
     arrival_time: float | None = None
     collided = False
 
-    t = 0.0
     max_steps = int(round(cfg.max_time / cfg.dt))
-    for _ in range(max_steps + 1):
+    for step in range(max_steps + 1):
+        t = step * cfg.dt
         clearance = world.clearance(robot.position)
         goal_distance = float(np.linalg.norm(goal - robot.position))
 
@@ -170,7 +170,6 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
 
         robot = step_dynamics(robot, control, cfg.dt)
         world.advance(cfg.dt)
-        t += cfg.dt
 
     metrics = compute_metrics(log, cfg, arrival_time=arrival_time,
                               collided=collided)

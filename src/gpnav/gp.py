@@ -1,9 +1,10 @@
 """Zero-mean Gaussian process regression with a squared-exponential kernel.
 
-Provides model construction through a Cholesky factorization plus the
-closed-form kernel derivatives (spatial, and along training-point motion)
-that the barrier synthesis needs. All query operations are pure and
-read-only on an immutable model, so they are safe to evaluate concurrently.
+Provides model construction through a Cholesky factorization plus one
+vectorised query pass that returns the posterior mean, its spatial gradient
+and its rate of change as the training points move, which is all the barrier
+synthesis needs. Queries are pure and read-only on an immutable model, so
+they are safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ class KernelParams:
             raise ValueError("jitter must be >= 0")
 
 
-def kernel_eval(p, q, params: KernelParams) -> float:
-    """SE kernel exp(-||p-q||^2 / (2 l^2)). Symmetric, 1 iff p == q."""
-    diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-    return float(np.exp(-(diff @ diff) / (2.0 * params.length_scale**2)))
+def _se_kernel(diff: np.ndarray, params: KernelParams) -> np.ndarray:
+    """SE kernel exp(-||d||^2 / (2 l^2)) over the last axis of point differences."""
+    sq = np.einsum("...k,...k->...", diff, diff)
+    return np.exp(-sq / (2.0 * params.length_scale**2))
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,6 @@ class GpModel:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    def kernel_vector(self, query) -> np.ndarray:
-        """Covariance vector between a 2D query point and the training set."""
-        diff = self.points - np.asarray(query, dtype=float)
-        sq = np.einsum("ij,ij->i", diff, diff)
-        return np.exp(-sq / (2.0 * self.params.length_scale**2))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (cov + jitter*I) x = rhs via the stored factor."""
@@ -98,8 +93,7 @@ def build_model(points, labels=None, params: KernelParams | None = None) -> GpMo
         if y.shape[0] != n:
             raise ValueError("labels length must match point count")
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    cov = np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / (2.0 * params.length_scale**2))
+    cov = _se_kernel(pts[:, None, :] - pts[None, :, :], params)
     try:
         factor, _ = cho_factor(cov + params.jitter * np.eye(n), lower=True)
     except np.linalg.LinAlgError as exc:
@@ -113,56 +107,40 @@ def build_model(points, labels=None, params: KernelParams | None = None) -> GpMo
                    chol_lower=chol_lower, alpha=alpha)
 
 
-def predictive_mean(model: GpModel, query) -> float:
-    """Posterior mean k~(query)^T alpha at a 2D query point."""
-    return float(model.kernel_vector(query) @ model.alpha)
+def mean_terms(model: GpModel, queries, velocities=None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Posterior mean and its derivatives at Q query points, in one pass.
 
+    Returns (mu (Q,), dmu_dq (Q, 2), dmu_dt (Q,) or None). With k the (Q, N)
+    kernel block and A = cov + jitter*I:
 
-def predictive_variance(model: GpModel, query) -> float:
-    """Posterior variance k(q,q) - k~^T (K + jitter I)^-1 k~, clamped at 0."""
-    kv = model.kernel_vector(query)
-    var = 1.0 - float(kv @ model.solve(kv))
-    return max(var, 0.0)
+      mu     = k alpha
+      dmu/dq = -(1/l^2) sum_i alpha_i k_i (q - d_i)
+      dmu/dt = kdot alpha - k beta,  beta = A^-1 (Kdot alpha)
 
-
-def mean_gradient(model: GpModel, query) -> np.ndarray:
-    """Gradient of the posterior mean w.r.t. the query point, shape (2,).
-
-    Row i of dk~/dq is -(1/l^2) k(q, d_i) (q - d_i)^T, contracted with alpha.
+    where the training points move with the given (N, 2) velocities,
+    kdot_qi = (1/l^2) k_qi (q - d_i)^T v_i and
+    Kdot_ij = -(1/l^2) K_ij (d_i - d_j)^T (v_i - v_j); any rigid translation
+    of the point set makes Kdot exactly zero. dmu_dt is None when velocities
+    is None, which skips the beta solve.
     """
-    q = np.asarray(query, dtype=float)
-    kv = model.kernel_vector(q)
-    diff = q[None, :] - model.points
-    return -((model.alpha * kv) @ diff) / model.params.length_scale**2
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    l2 = model.params.length_scale**2
+    diff = q[:, None, :] - model.points[None, :, :]
+    k = _se_kernel(diff, model.params)
+    mu = k @ model.alpha
+    dmu_dq = -np.einsum("qi,qik->qk", k * model.alpha, diff) / l2
+    if velocities is None:
+        return mu, dmu_dq, None
 
-
-def cov_matrix_time_derivative(model: GpModel, velocities) -> np.ndarray:
-    """Rate of change of the covariance matrix as the points move.
-
-    Entry (i, j) is -(1/l^2) K_ij (d_i - d_j)^T (v_i - v_j); any rigid
-    translation of the point set therefore yields an exactly zero matrix.
-    """
-    v = _check_velocities(model, velocities)
-    dpos = model.points[:, None, :] - model.points[None, :, :]
-    dvel = v[:, None, :] - v[None, :, :]
-    return -(model.cov * np.einsum("ijk,ijk->ij", dpos, dvel)) / model.params.length_scale**2
-
-
-def query_cov_time_derivative(model: GpModel, query, velocities) -> np.ndarray:
-    """Rate of change of the covariance vector as the points move, shape (N,).
-
-    Entry r is (1/l^2) k(q, d_r) (q - d_r)^T v_r.
-    """
-    v = _check_velocities(model, velocities)
-    q = np.asarray(query, dtype=float)
-    kv = model.kernel_vector(q)
-    diff = q[None, :] - model.points
-    return kv * np.einsum("ij,ij->i", diff, v) / model.params.length_scale**2
-
-
-def _check_velocities(model: GpModel, velocities) -> np.ndarray:
     v = np.atleast_2d(np.asarray(velocities, dtype=float))
     if v.shape != model.points.shape:
         raise ValueError(f"velocities shape {v.shape} does not match "
                          f"training points {model.points.shape}")
-    return v
+    dpos = model.points[:, None, :] - model.points[None, :, :]
+    dvel = v[:, None, :] - v[None, :, :]
+    kdot_mat = -(model.cov * np.einsum("ijk,ijk->ij", dpos, dvel)) / l2
+    beta = model.solve(kdot_mat @ model.alpha)
+    kdot = k * np.einsum("qik,ik->qi", diff, v) / l2
+    dmu_dt = kdot @ model.alpha - k @ beta
+    return mu, dmu_dq, dmu_dt

@@ -99,11 +99,9 @@ def new_track(track_id: int, detection: Ellipse, params: TrackerParams) -> Track
 
 def affinity_matrix(tracks: list[Ellipse], detections: list[Ellipse]) -> np.ndarray:
     """Center Euclidean distances, rows = tracks, cols = detections."""
-    mat = np.zeros((len(tracks), len(detections)))
-    for i, track in enumerate(tracks):
-        for j, det in enumerate(detections):
-            mat[i, j] = float(np.linalg.norm(track.center - det.center))
-    return mat
+    ct = np.array([track.center for track in tracks], dtype=float).reshape(-1, 2)
+    cd = np.array([det.center for det in detections], dtype=float).reshape(-1, 2)
+    return np.linalg.norm(ct[:, None] - cd[None], axis=2)
 
 
 def associate(tracks: list[Ellipse], detections: list[Ellipse],

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from gpnav import barrier
-from gpnav.barrier import (BarrierParams, ClampedRegion, EmptyDataset,
-                           build_datasets, evaluate, evaluate_full,
-                           export_field, spatial_gradient, time_derivative)
+from gpnav.barrier import (BarrierParams, EmptyDataset, build_datasets,
+                           evaluate, evaluate_full, export_field)
 from gpnav.gp import KernelParams, build_model
 from gpnav.perception.grid import (GridSpec, ObstacleGridMap, VelocityGridMap,
                                    build_velocity_grid)
@@ -16,6 +15,14 @@ from gpnav.perception.grid import (GridSpec, ObstacleGridMap, VelocityGridMap,
 KERNEL = KernelParams(length_scale=0.9, jitter=1e-8)
 EXACT_KERNEL = KernelParams(length_scale=0.9, jitter=0.0)
 PARAMS = BarrierParams(scale=1.0, margin_shift=0.1)
+
+
+def grad_h(model, position):
+    return evaluate_full(model, PARAMS, position, np.zeros((model.size, 2))).grad_state
+
+
+def dh_dt(model, position, velocities):
+    return evaluate_full(model, PARAMS, position, velocities).time_derivative
 
 
 def grid_with_cells(cells, spec=GridSpec(width=20, height=20, resolution=0.2),
@@ -104,10 +111,10 @@ class TestEvaluate:
         assert result.clamped
         assert result.value == pytest.approx(
             -np.log(PARAMS.mu_floor) - 0.1, abs=1e-9)
-        with pytest.raises(ClampedRegion):
-            spatial_gradient(model, PARAMS, (50.0, 0.0))
-        with pytest.raises(ClampedRegion):
-            time_derivative(model, PARAMS, (50.0, 0.0), [[1.0, 0.0]])
+        moving = evaluate_full(model, PARAMS, (50.0, 0.0), [[1.0, 0.0]])
+        assert moving.clamped
+        assert np.all(moving.grad_state == 0.0)
+        assert moving.time_derivative == 0.0
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -122,21 +129,21 @@ class TestSpatialGradient:
     def test_single_point_closed_form(self):
         # grad h = (q - d) / l^2 for one training point
         model = build_model([[0.0, 0.0]], params=EXACT_KERNEL)
-        grad = spatial_gradient(model, PARAMS, (0.9, 0.0))
+        grad = grad_h(model, (0.9, 0.0))
         assert grad[0] == pytest.approx(1.1111111111111112, abs=1e-9)
         assert grad[1] == pytest.approx(0.0, abs=1e-12)
         assert grad[2] == 0.0
 
     def test_zero_at_training_point(self):
         model = build_model([[0.3, 0.7]], params=EXACT_KERNEL)
-        assert np.allclose(spatial_gradient(model, PARAMS, (0.3, 0.7)), 0.0,
+        assert np.allclose(grad_h(model, (0.3, 0.7)), 0.0,
                            atol=1e-12)
 
     def test_heading_component_always_zero(self):
         rng = np.random.default_rng(1)
         model = build_model(rng.uniform(-2, 2, (10, 2)), params=KERNEL)
         for _ in range(20):
-            grad = spatial_gradient(model, PARAMS, rng.uniform(-3, 3, 2))
+            grad = grad_h(model, rng.uniform(-3, 3, 2))
             assert grad[2] == 0.0
 
     @pytest.mark.parametrize("n", [1, 5, 30])
@@ -146,7 +153,7 @@ class TestSpatialGradient:
         for _ in range(34):
             model = build_model(rng.uniform(-3, 3, (n, 2)), params=KERNEL)
             query = rng.uniform(-3, 3, 2)
-            grad = spatial_gradient(model, PARAMS, query)
+            grad = grad_h(model, query)
             for axis in range(2):
                 offset = np.zeros(2)
                 offset[axis] = step
@@ -159,12 +166,12 @@ class TestTimeDerivative:
     def test_static_scene_is_zero(self):
         rng = np.random.default_rng(2)
         model = build_model(rng.uniform(-2, 2, (8, 2)), params=KERNEL)
-        assert time_derivative(model, PARAMS, (0.0, 0.0), np.zeros((8, 2))) == 0.0
+        assert dh_dt(model, (0.0, 0.0), np.zeros((8, 2))) == 0.0
 
     def test_single_point_approach_closed_form(self):
         # dh/dt = -(q - d) . v / l^2 = -0.9 / 0.81 for a head-on approach
         model = build_model([[0.0, 0.0]], params=EXACT_KERNEL)
-        rate = time_derivative(model, PARAMS, (0.9, 0.0), [[1.0, 0.0]])
+        rate = dh_dt(model, (0.9, 0.0), [[1.0, 0.0]])
         assert rate == pytest.approx(-1.1111111111111112, abs=1e-9)
 
     def test_uniform_translation_identity(self):
@@ -175,8 +182,8 @@ class TestTimeDerivative:
             model = build_model(rng.uniform(-2, 2, (n, 2)), params=KERNEL)
             v = rng.uniform(-1, 1, 2)
             query = rng.uniform(-2.5, 2.5, 2)
-            rate = time_derivative(model, PARAMS, query, np.tile(v, (n, 1)))
-            grad = spatial_gradient(model, PARAMS, query)
+            rate = dh_dt(model, query, np.tile(v, (n, 1)))
+            grad = grad_h(model, query)
             assert abs(rate + grad[:2] @ v) <= 1e-8
 
     def test_matches_finite_difference_along_motion(self):
@@ -188,7 +195,7 @@ class TestTimeDerivative:
             vel = rng.uniform(-1, 1, (n, 2))
             query = rng.uniform(-3, 3, 2)
             model = build_model(points, params=KERNEL)
-            rate = time_derivative(model, PARAMS, query, vel)
+            rate = dh_dt(model, query, vel)
             h_plus = evaluate(build_model(points + delta * vel, params=KERNEL),
                               PARAMS, query)
             h_minus = evaluate(build_model(points - delta * vel, params=KERNEL),
@@ -296,3 +303,21 @@ def test_export_field_writes_grid(tmp_path):
     # spot-check the center row against the closed form
     center = [r for r in reader[1:] if float(r[0]) == 0.0 and float(r[1]) == 0.0]
     assert float(center[0][2]) == pytest.approx(-0.1, abs=1e-6)
+
+
+def test_export_field_rows_match_evaluate(tmp_path):
+    rng = np.random.default_rng(7)
+    model = build_model(rng.uniform(-1.5, 1.5, (12, 2)), params=KERNEL)
+    path = tmp_path / "field.csv"
+    rows = export_field(model, PARAMS, path, (-2.0, 2.5), (-1.0, 3.0),
+                        resolution=0.25)
+    xs = np.arange(-2.0, 2.5 + 0.125, 0.25)
+    ys = np.arange(-1.0, 3.0 + 0.125, 0.25)
+    with open(path) as handle:
+        reader = list(csv.reader(handle))
+    assert rows == len(reader) - 1 == len(xs) * len(ys)
+    # x-major: y runs fastest
+    for index, (x_text, y_text, h_text) in enumerate(reader[1:]):
+        x, y = xs[index // len(ys)], ys[index % len(ys)]
+        assert (x_text, y_text) == (f"{x:.6f}", f"{y:.6f}")
+        assert abs(float(h_text) - evaluate(model, PARAMS, (x, y))) <= 5e-10

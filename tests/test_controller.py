@@ -243,6 +243,28 @@ class TestControlStep:
         # lead point sits 0.3 m closer to the data: lower barrier value
         assert at_lead.value < at_center.value
 
+    def test_saturated_ignores_rounding_at_the_speed_limit(self):
+        # a nominal command of norm u_max = v_max along the heading maps to
+        # v = v_max up to rounding; 1e-4 more is real saturation
+        rounded_up = 0
+        for theta in np.linspace(-3.0, 3.0, 61):
+            robot = RobotState(0.0, 0.0, theta)
+            heading = np.array([np.cos(theta), np.sin(theta)])
+            goal = 10.0 * heading
+            # a single point behind the robot: inactive constraint
+            model = build_model([-2.0 * heading], params=self.KERNEL)
+            raw = lead_to_unicycle(nominal_goal(robot.position, goal, 0.8), theta, 0.3)
+            rounded_up += raw.v > 0.8
+            at_limit = control_step(robot, model, np.zeros((1, 2)), self.BARRIER,
+                                    self.CONTROLLER, goal)[2]
+            over = control_step(robot, model, np.zeros((1, 2)), self.BARRIER,
+                                ControllerParams(u_max=0.8 + 1e-4), goal)[2]
+            assert at_limit.fallback == over.fallback == ""
+            assert not at_limit.constraint_active and not over.constraint_active
+            assert not at_limit.saturated
+            assert over.saturated
+        assert rounded_up > 0
+
     def test_lead_point_geometry(self):
         robot = RobotState(1.0, 2.0, np.pi / 2)
         point = lead_point(robot, 0.3)

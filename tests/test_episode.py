@@ -46,6 +46,13 @@ class TestRunEpisode:
         assert abs(metrics.arrival_time - 23.35) <= 2 * cfg.dt + 1e-9
         assert math.isinf(metrics.min_clearance)
 
+    def test_arrival_time_is_step_index_times_dt(self):
+        cfg = scenario_from_dict(EMPTY_WORLD)
+        log, metrics = run_episode(cfg)
+        arrival_step = len(log) - 1
+        assert metrics.arrival_time == arrival_step * cfg.dt
+        assert [s.t for s in log.steps] == [k * cfg.dt for k in range(len(log))]
+
     def test_wall_across_goal_times_out_without_collision(self):
         wall = [{"id": f"w{i}", "radius": 0.6,
                  "center": [4.0 + 0.15 * (i % 2), -4.0 + 1.0 * i]}

@@ -71,6 +71,21 @@ class TestAssociate:
         dets = [circle(*rng.uniform(-3, 3, 2)) for _ in range(5)]
         assert np.all(affinity_matrix(tracks, dets) >= 0.0)
 
+    def test_affinity_matches_pairwise_loop(self):
+        rng = np.random.default_rng(2)
+        tracks = [circle(*rng.uniform(-8, 8, 2)) for _ in range(20)]
+        dets = [circle(*rng.uniform(-8, 8, 2)) for _ in range(18)]
+        reference = np.zeros((20, 18))
+        for i, track in enumerate(tracks):
+            for j, det in enumerate(dets):
+                reference[i, j] = float(np.linalg.norm(track.center - det.center))
+        assert np.max(np.abs(affinity_matrix(tracks, dets) - reference)) <= 1e-14
+
+    def test_affinity_of_empty_lists(self):
+        assert affinity_matrix([], [circle(0, 0)]).shape == (0, 1)
+        assert affinity_matrix([circle(0, 0)], []).shape == (1, 0)
+        assert affinity_matrix([], []).shape == (0, 0)
+
 
 class TestKalman:
     def test_noise_free_constant_velocity_exact_after_three_updates(self):

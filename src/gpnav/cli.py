@@ -10,6 +10,7 @@ from pathlib import Path
 from .barrier import VARIANTS
 from .bench import bench_barrier, check_gradients
 from .episode import compare, comparison_json, comparison_table, run_episode
+from .gp import FactorizationFailure
 from .scenario import (ParseError, ValidationError, load_scenario,
                        resolve_scenario, with_variant)
 
@@ -22,6 +23,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FactorizationFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +82,7 @@ def _cmd_run(args) -> int:
                              dump_field=args.dump_field,
                              dump_perception=args.dump_perception)
     print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
-    return 1 if metrics.collision else 0
+    return 1 if metrics.collision or metrics.timed_out else 0
 
 
 def _cmd_compare(args) -> int:
@@ -90,7 +94,7 @@ def _cmd_compare(args) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "comparison.json").write_text(comparison_json(results))
-    return 1 if any(m.collision for m in results.values()) else 0
+    return 1 if any(m.collision or m.timed_out for m in results.values()) else 0
 
 
 def _cmd_check_gradients(args) -> int:

@@ -107,8 +107,7 @@ def build_velocity_grid(grid: ObstacleGridMap, labels: np.ndarray,
     """
     velocities = np.zeros((grid.spec.width, grid.spec.height, 2))
     cells = grid.occupied_cells()
-    for (ix, iy), label in zip(cells, labels):
-        vel = velocity_by_cluster.get(int(label))
-        if vel is not None:
-            velocities[ix, iy] = vel
+    for label, vel in velocity_by_cluster.items():
+        own = cells[labels == label]
+        velocities[own[:, 0], own[:, 1]] = vel
     return VelocityGridMap(spec=grid.spec, origin=grid.origin, velocities=velocities)

@@ -1,9 +1,13 @@
 """Frame-to-frame ellipse association and per-obstacle Kalman tracking.
 
-Each track carries a 9-state filter [cx, cy, vx, vy, ax, ay, semi_major,
-semi_minor, angle]: constant acceleration on the center, random walk on the
-shape. Association is a minimum-cost assignment on center distances with a
-gate; gated-out pairs spawn new tracks and record misses.
+Each track estimates [cx, cy, vx, vy, ax, ay, semi_major, semi_minor, angle]:
+constant acceleration on the center, random walk on the shape. The noise
+densities are shared by both axes and by the three shape entries, and each
+measurement observes one coordinate per block, so the 9-state covariance
+stays blockdiag(P, P, s, s, s): a track keeps one 3x3 motion covariance P
+over (position, velocity, acceleration), shared by x and y, and one shape
+variance s. Association is a minimum-cost assignment on center distances
+with a gate; gated-out pairs spawn new tracks and record misses.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from scipy.optimize import linear_sum_assignment
 from .ellipse import Ellipse, _wrap_orientation
 
 STATE_DIM = 9
-_MEAS_IDX = np.array([0, 1, 6, 7, 8])   # measured entries: center + shape
 
 
 @dataclass(frozen=True)
@@ -40,15 +43,6 @@ class TrackerParams:
         if self.max_misses < 1:
             raise ValueError("max_misses must be >= 1")
 
-    def process_noise(self) -> np.ndarray:
-        return np.diag([self.q_pos, self.q_pos, self.q_vel, self.q_vel,
-                        self.q_acc, self.q_acc, self.q_shape, self.q_shape,
-                        self.q_shape])
-
-    def measurement_noise(self) -> np.ndarray:
-        return np.diag([self.r_center, self.r_center, self.r_shape,
-                        self.r_shape, self.r_shape])
-
 
 @dataclass
 class TrackedObstacle:
@@ -56,7 +50,8 @@ class TrackedObstacle:
 
     track_id: int
     state: np.ndarray              # (9,)
-    covariance: np.ndarray         # (9, 9) symmetric PSD
+    motion_cov: np.ndarray         # (3, 3) symmetric PSD, shared by x and y
+    shape_var: float               # variance of each shape entry
     age: int = 0
     misses: int = 0
 
@@ -92,9 +87,9 @@ def new_track(track_id: int, detection: Ellipse, params: TrackerParams) -> Track
     state[6] = detection.semi_major
     state[7] = detection.semi_minor
     state[8] = detection.angle
-    cov = np.diag([params.r_center, params.r_center, 1.0, 1.0, 1.0, 1.0,
-                   params.r_shape, params.r_shape, params.r_shape])
-    return TrackedObstacle(track_id=track_id, state=state, covariance=cov)
+    return TrackedObstacle(track_id=track_id, state=state,
+                           motion_cov=np.diag([params.r_center, 1.0, 1.0]),
+                           shape_var=float(params.r_shape))
 
 
 def affinity_matrix(tracks: list[Ellipse], detections: list[Ellipse]) -> np.ndarray:
@@ -140,37 +135,35 @@ def kalman_step(track: TrackedObstacle, detection: Ellipse | None, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    transition = np.eye(STATE_DIM)
-    transition[0, 2] = transition[1, 3] = dt
-    transition[2, 4] = transition[3, 5] = dt
-    transition[0, 4] = transition[1, 5] = 0.5 * dt * dt
-
-    track.state = transition @ track.state
-    track.covariance = (transition @ track.covariance @ transition.T
-                        + params.process_noise())
+    transition = np.array([[1.0, dt, 0.5 * dt * dt],
+                           [0.0, 1.0, dt],
+                           [0.0, 0.0, 1.0]])
+    motion = track.state[:6].reshape(3, 2)   # rows: pos, vel, acc; cols: x, y
+    motion[:] = transition @ motion
+    track.motion_cov = (transition @ track.motion_cov @ transition.T
+                        + np.diag([params.q_pos, params.q_vel, params.q_acc]))
+    track.shape_var += params.q_shape
 
     if detection is None:
         track.misses += 1
         return track
 
-    measured = np.array([detection.center[0], detection.center[1],
-                         detection.semi_major, detection.semi_minor,
-                         detection.angle])
-    innovation = measured - track.state[_MEAS_IDX]
-    angle_err = (innovation[4] + np.pi / 2.0) % np.pi - np.pi / 2.0
+    cov = track.motion_cov
+    gain = cov[:, 0] / (cov[0, 0] + params.r_center)
+    motion += np.outer(gain, detection.center - motion[0])
+    cov = cov - np.outer(gain, cov[0])
+    track.motion_cov = 0.5 * (cov + cov.T)
+
+    innovation = (np.array([detection.semi_major, detection.semi_minor,
+                            detection.angle]) - track.state[6:])
+    angle_err = (innovation[2] + np.pi / 2.0) % np.pi - np.pi / 2.0
     if angle_err == -np.pi / 2.0:
         angle_err = np.pi / 2.0
-    innovation[4] = angle_err
-
-    cov_meas = track.covariance[np.ix_(_MEAS_IDX, _MEAS_IDX)] + params.measurement_noise()
-    cross = track.covariance[:, _MEAS_IDX]
-    gain = np.linalg.solve(cov_meas, cross.T).T
-    track.state = track.state + gain @ innovation
+    innovation[2] = angle_err
+    shape_gain = track.shape_var / (track.shape_var + params.r_shape)
+    track.state[6:] += shape_gain * innovation
     track.state[8] = _wrap_orientation(float(track.state[8]))
-    identity_less = np.eye(STATE_DIM)
-    identity_less[np.arange(STATE_DIM)[:, None], _MEAS_IDX] -= gain
-    track.covariance = identity_less @ track.covariance
-    track.covariance = 0.5 * (track.covariance + track.covariance.T)
+    track.shape_var *= 1.0 - shape_gain
     track.age += 1
     track.misses = 0
     return track

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gpnav.cli import main
+from gpnav.scenario import resolve_scenario
 
 QUICK_SCENARIO = """\
 schema: 1
@@ -76,6 +77,28 @@ def test_run_collision_exits_nonzero(tmp_path, capsys):
     code = main(["run", str(path)])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["collision"] is True
+
+
+def test_run_timeout_exits_one(tmp_path, capsys):
+    path = tmp_path / "short.yaml"
+    path.write_text(QUICK_SCENARIO.replace("max_time: 15.0", "max_time: 1.0"))
+    code = main(["run", str(path)])
+    assert code == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["timed_out"] is True
+
+
+def test_factorization_failure_exits_three(tmp_path, capsys):
+    # a long length scale with zero jitter leaves the GP covariance singular
+    path = tmp_path / "singular.yaml"
+    path.write_text(resolve_scenario("narrow_gap").read_text()
+                    + "kernel: {length_scale: 3.0, jitter: 0.0}\n")
+    code = main(["run", str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not positive definite" in err
+    assert "Traceback" not in err
 
 
 def test_run_unknown_scenario_exits_two(capsys):

@@ -1,11 +1,12 @@
-"""Association against a brute-force oracle, and Kalman velocity estimation."""
+"""Association against a brute-force oracle, Kalman velocity estimation, and
+the per-axis filter against the dense 9-state filter it reduces to."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from gpnav.perception.ellipse import Ellipse
+from gpnav.perception.ellipse import Ellipse, _wrap_orientation
 from gpnav.perception.tracking import (ObstacleTracker, TrackerParams,
                                        affinity_matrix, associate, kalman_step,
                                        new_track)
@@ -25,6 +26,46 @@ def brute_force_min_cost(cost):
                    for p in itertools.permutations(range(cols), rows))
     return min(sum(cost[p[j], j] for j in range(cols))
                for p in itertools.permutations(range(rows), cols))
+
+
+def random_detection(rng, near):
+    """An ellipse near a center; a third of the angles sit near +-pi/2."""
+    semi_major = float(rng.uniform(0.1, 2.0))
+    if rng.random() < 1.0 / 3.0:
+        angle = float(rng.choice([-1.0, 1.0]) * (np.pi / 2 - rng.uniform(0.0, 1e-2)))
+    else:
+        angle = float(rng.uniform(-np.pi / 2, np.pi / 2))
+    return Ellipse(center=near + rng.normal(0.0, 0.05, 2), semi_major=semi_major,
+                   semi_minor=semi_major * float(rng.uniform(0.2, 1.0)),
+                   angle=angle)
+
+
+def dense_step(state, cov, detection, dt, params):
+    """Reference: the full 9-state predict/update over [cx, cy, vx, vy, ax,
+    ay, semi_major, semi_minor, angle], with a 9x9 covariance."""
+    measured_idx = np.array([0, 1, 6, 7, 8])
+    transition = np.eye(9)
+    transition[0, 2] = transition[1, 3] = dt
+    transition[2, 4] = transition[3, 5] = dt
+    transition[0, 4] = transition[1, 5] = 0.5 * dt * dt
+    q = np.diag([params.q_pos] * 2 + [params.q_vel] * 2 + [params.q_acc] * 2
+                + [params.q_shape] * 3)
+    r = np.diag([params.r_center] * 2 + [params.r_shape] * 3)
+    state = transition @ state
+    cov = transition @ cov @ transition.T + q
+    if detection is None:
+        return state, cov
+    innovation = detection.as_vector() - state[measured_idx]
+    angle_err = (innovation[4] + np.pi / 2.0) % np.pi - np.pi / 2.0
+    innovation[4] = np.pi / 2.0 if angle_err == -np.pi / 2.0 else angle_err
+    gain = np.linalg.solve(cov[np.ix_(measured_idx, measured_idx)] + r,
+                           cov[:, measured_idx].T).T
+    state = state + gain @ innovation
+    state[8] = _wrap_orientation(float(state[8]))
+    identity_less = np.eye(9)
+    identity_less[np.arange(9)[:, None], measured_idx] -= gain
+    cov = identity_less @ cov
+    return state, 0.5 * (cov + cov.T)
 
 
 class TestAssociate:
@@ -121,9 +162,10 @@ class TestKalman:
 
     def test_predict_only_grows_covariance_trace(self):
         track = new_track(0, circle(1.0, 1.0), PARAMS)
-        before = np.trace(track.covariance)
+        motion_before, shape_before = np.trace(track.motion_cov), track.shape_var
         kalman_step(track, None, 0.05, PARAMS)
-        assert np.trace(track.covariance) > before
+        assert np.trace(track.motion_cov) > motion_before
+        assert track.shape_var > shape_before
         assert track.misses == 1
 
     def test_seeded_noisy_velocity_within_tolerance(self):
@@ -154,8 +196,36 @@ class TestKalman:
         for k in range(30):
             det = circle(*rng.uniform(-0.1, 0.1, 2)) if k % 4 else None
             kalman_step(track, det, 0.05, PARAMS)
-            assert np.allclose(track.covariance, track.covariance.T, atol=1e-12)
-            assert np.linalg.eigvalsh(track.covariance).min() >= -1e-12
+            assert np.allclose(track.motion_cov, track.motion_cov.T, atol=1e-12)
+            assert np.linalg.eigvalsh(track.motion_cov).min() >= -1e-12
+            assert track.shape_var > 0.0
+
+    def test_matches_dense_nine_state_filter(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            noise = 10.0 ** rng.uniform(-6.0, 0.0, 6)
+            params = TrackerParams(q_pos=noise[0], q_vel=noise[1], q_acc=noise[2],
+                                   q_shape=noise[3], r_center=noise[4],
+                                   r_shape=noise[5])
+            center = np.zeros(2)
+            track = new_track(0, random_detection(rng, center), params)
+            state = track.state.copy()
+            cov = np.diag([params.r_center] * 2 + [1.0] * 4 + [params.r_shape] * 3)
+            for _ in range(40):
+                dt = float(rng.uniform(0.01, 0.3))
+                center = center + rng.normal(0.0, 0.2, 2)
+                detection = (random_detection(rng, center)
+                             if rng.random() < 0.7 else None)
+                kalman_step(track, detection, dt, params)
+                state, cov = dense_step(state, cov, detection, dt, params)
+                denom = np.maximum(np.abs(state), 1.0)
+                assert np.max(np.abs(track.state - state) / denom) <= 1e-9
+                reduced = np.zeros((9, 9))
+                reduced[0:6:2, 0:6:2] = track.motion_cov
+                reduced[1:6:2, 1:6:2] = track.motion_cov
+                reduced[6:, 6:] = track.shape_var * np.eye(3)
+                scale = np.max(np.abs(cov))
+                assert np.max(np.abs(reduced - cov)) <= 1e-9 * scale
 
     def test_dt_validation(self):
         track = new_track(0, circle(0.0, 0.0), PARAMS)

@@ -62,14 +62,15 @@ class Ellipse:
         return float(np.pi * self.semi_major * self.semi_minor)
 
 
-def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 200,
+def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000,
              min_minor: float = DEFAULT_MIN_MINOR) -> Ellipse:
     """Fit the minimum-area enclosing ellipse of a non-empty cluster.
 
     Terminates once the duality gap max_j q_j^T V^-1 q_j / (d+1) - 1 falls
     to the tolerance; every input point then lies inside the ellipse scaled
-    by (1 + 10 * tolerance). Clusters of rank < 2 get a segment-aligned
-    ellipse padded with min_minor.
+    by (1 + 10 * tolerance). A fit that exhausts max_iter first has both
+    semi-axes grown until every point lies inside, and keeps its true gap.
+    Clusters of rank < 2 get a segment-aligned ellipse padded with min_minor.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
@@ -96,8 +97,13 @@ def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 200,
     semi_major = 1.0 / np.sqrt(eigvals[0])
     semi_minor = 1.0 / np.sqrt(eigvals[1])
     angle = _wrap_orientation(float(np.arctan2(eigvecs[1, 0], eigvecs[0, 0])))
-    return Ellipse(center=center, semi_major=float(semi_major),
-                   semi_minor=float(semi_minor), angle=angle, fit_gap=gap)
+    ellipse = Ellipse(center=center, semi_major=float(semi_major),
+                      semi_minor=float(semi_minor), angle=angle, fit_gap=gap)
+    if gap > tolerance:
+        grow = float(np.sqrt(ellipse.quadratic_form(pts).max()))
+        ellipse.semi_major *= grow
+        ellipse.semi_minor *= grow
+    return ellipse
 
 
 def _khachiyan_weights(pts: np.ndarray, tolerance: float,

@@ -1,13 +1,13 @@
 """Per-frame perception: scan -> occupancy grid -> clusters -> tracked ellipses.
 
 The pipeline is a single-owner sequential stage; it mutates only its own
-track store and returns an immutable snapshot of everything the barrier
-needs for the current frame.
+track store and fit memo, and returns an immutable snapshot of everything
+the barrier needs for the current frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,6 +16,8 @@ from .ellipse import Ellipse, fit_mvee
 from .grid import (GridSpec, ObstacleGridMap, VelocityGridMap,
                    build_velocity_grid, update_obstacle_grid)
 from .tracking import ObstacleTracker, TrackerParams
+
+FIT_MEMO_CAPACITY = 4096   # distinct cell patterns kept before the memo is cleared
 
 
 @dataclass(frozen=True)
@@ -53,11 +55,13 @@ class PerceptionPipeline:
     def __init__(self, params: PerceptionParams | None = None) -> None:
         self.params = params or PerceptionParams()
         self.tracker = ObstacleTracker(self.params.tracker)
+        self._fits: dict[bytes, Ellipse] = {}   # local cell pattern -> local fit
 
     def process(self, scan, robot, dt: float) -> PerceptionFrame:
         """Run one full perception frame and refresh the track store."""
         params = self.params
         grid = update_obstacle_grid(scan, robot, params.grid)
+        cells = grid.occupied_cells()
         points = grid.occupied_points()
         if len(points) > 0:
             labels = dbscan(points, params.eps, params.min_pts)
@@ -65,7 +69,7 @@ class PerceptionPipeline:
             labels = np.zeros(0, dtype=int)
 
         cluster_ids = sorted(int(c) for c in np.unique(labels) if c != NOISE)
-        ellipses = [fit_mvee(points[labels == cid], tolerance=params.mvee_tolerance)
+        ellipses = [self._fit_cluster(grid, cells[labels == cid])
                     for cid in cluster_ids]
 
         assignment = self.tracker.step(ellipses, dt)
@@ -81,6 +85,25 @@ class PerceptionPipeline:
         return PerceptionFrame(obstacle_grid=grid, velocity_grid=velocity_grid,
                                points=points, labels=labels, ellipses=ellipses,
                                cluster_ids=cluster_ids, track_ids=track_ids)
+
+    def _fit_cluster(self, grid: ObstacleGridMap, cells: np.ndarray) -> Ellipse:
+        """MVEE of a cluster's cell centres, fitted once per cell pattern.
+
+        The fit is made in the pattern's own frame, with its lowest cell
+        index at the origin, and translated onto the grid, so a pattern gives
+        the same axes, angle and gap wherever it appears.
+        """
+        res = grid.spec.resolution
+        low = cells.min(axis=0)
+        local = cells - low
+        key = local.tobytes()     # cells come row-major, so one set, one key
+        fit = self._fits.get(key)
+        if fit is None:
+            if len(self._fits) >= FIT_MEMO_CAPACITY:
+                self._fits.clear()
+            fit = fit_mvee(res * (local + 0.5), tolerance=self.params.mvee_tolerance)
+            self._fits[key] = fit
+        return replace(fit, center=fit.center + (grid.origin + res * low))
 
     def debug_record(self, frame: PerceptionFrame, t: float) -> dict:
         """JSON-serializable dump of one frame for golden-file regression."""

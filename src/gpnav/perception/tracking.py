@@ -42,6 +42,8 @@ class TrackerParams:
             raise ValueError("d_max must be > 0")
         if self.max_misses < 1:
             raise ValueError("max_misses must be >= 1")
+        if self.q_shape + self.r_shape == 0.0:
+            raise ValueError("q_shape + r_shape must be > 0")
 
 
 @dataclass

@@ -343,6 +343,10 @@ def _parse_perception(sec: _Section) -> PerceptionParams:
 
 
 def _parse_tracker(sec: _Section) -> TrackerParams:
+    q_shape = sec.take_float("q_shape", 1e-4, nonnegative=True)
+    r_shape = sec.take_float("r_shape", 1e-3, nonnegative=True)
+    if q_shape + r_shape == 0.0:
+        raise ValidationError(f"{sec.prefix}: q_shape + r_shape must be > 0")
     params = TrackerParams(
         d_max=sec.take_float("d_max", 1.0, positive=True),
         max_misses=sec.take_int("max_misses", 5, positive=True),
@@ -351,9 +355,9 @@ def _parse_tracker(sec: _Section) -> TrackerParams:
         q_pos=sec.take_float("q_pos", 1e-4, nonnegative=True),
         q_vel=sec.take_float("q_vel", 1e-2, nonnegative=True),
         q_acc=sec.take_float("q_acc", 1e-1, nonnegative=True),
-        q_shape=sec.take_float("q_shape", 1e-4, nonnegative=True),
+        q_shape=q_shape,
         r_center=sec.take_float("r_center", 4e-4, nonnegative=True),
-        r_shape=sec.take_float("r_shape", 1e-3, nonnegative=True),
+        r_shape=r_shape,
     )
     sec.finish()
     return params

@@ -101,6 +101,19 @@ def test_factorization_failure_exits_three(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_zero_shape_noise_exits_two(tmp_path, capsys):
+    path = tmp_path / "rigid.yaml"
+    text = resolve_scenario("head_on").read_text()
+    path.write_text(text.replace("min_speed: 0.12}",
+                                 "min_speed: 0.12, q_shape: 0.0, r_shape: 0.0}"))
+    code = main(["run", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "q_shape + r_shape" in err
+    assert "Traceback" not in err
+
+
 def test_run_unknown_scenario_exits_two(capsys):
     code = main(["run", "does_not_exist"])
     assert code == 2

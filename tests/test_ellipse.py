@@ -117,6 +117,31 @@ class TestRandomClusters:
             assert -np.pi / 2 <= ellipse.angle < np.pi / 2
 
 
+# A lattice cluster from a dense drive on which the ascent needs ~500
+# iterations; at 200 its duality gap is still ~2e-3.
+SLOW_PATTERN = np.array([(0, 3), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1),
+                         (2, 2), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 0),
+                         (6, 1), (6, 2)])
+
+
+@pytest.mark.parametrize("pattern", [
+    SLOW_PATTERN,
+    SLOW_PATTERN[~np.all(SLOW_PATTERN == (4, 2), axis=1)],
+], ids=["16_cells", "15_cells"])
+class TestSlowLatticePattern:
+    def test_converges_within_default_budget(self, pattern):
+        points = 0.2 * (pattern + 0.5)
+        ellipse = fit_mvee(points)
+        assert ellipse.fit_gap <= 1e-4
+        assert np.all(ellipse.contains(points, scale=CONTAIN_SCALE))
+
+    def test_exhausted_budget_still_encloses(self, pattern):
+        points = 0.2 * (pattern + 0.5)
+        ellipse = fit_mvee(points, max_iter=200)
+        assert ellipse.fit_gap > 1e-4
+        assert np.all(ellipse.contains(points, scale=1.0 + 1e-12))
+
+
 def test_ellipse_vector_roundtrip():
     ellipse = Ellipse(center=np.array([1.0, 2.0]), semi_major=0.8,
                       semi_minor=0.3, angle=0.7)

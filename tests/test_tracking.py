@@ -232,6 +232,11 @@ class TestKalman:
         with pytest.raises(ValueError):
             kalman_step(track, None, 0.0, PARAMS)
 
+    def test_params_reject_zero_shape_noise(self):
+        # the shape gain s / (s + r_shape) would divide zero by zero
+        with pytest.raises(ValueError):
+            TrackerParams(q_shape=0.0, r_shape=0.0)
+
 
 class TestTracker:
     def test_stable_id_for_slow_obstacle(self):

@@ -62,6 +62,7 @@ class GpModel:
     points: np.ndarray      # (N, 2) training inputs, global frame, meters
     labels: np.ndarray      # (N,)
     params: KernelParams
+    diffs: np.ndarray       # (N, N, 2) pairwise differences d_i - d_j
     cov: np.ndarray         # (N, N) kernel matrix, jitter excluded
     chol_lower: np.ndarray  # (N, N) lower factor of cov + jitter*I
     alpha: np.ndarray       # (N,) weight vector
@@ -93,7 +94,8 @@ def build_model(points, labels=None, params: KernelParams | None = None) -> GpMo
         if y.shape[0] != n:
             raise ValueError("labels length must match point count")
 
-    cov = _se_kernel(pts[:, None, :] - pts[None, :, :], params)
+    diffs = pts[:, None, :] - pts[None, :, :]
+    cov = _se_kernel(diffs, params)
     try:
         factor, _ = cho_factor(cov + params.jitter * np.eye(n), lower=True)
     except np.linalg.LinAlgError as exc:
@@ -103,7 +105,7 @@ def build_model(points, labels=None, params: KernelParams | None = None) -> GpMo
         ) from exc
     chol_lower = np.tril(factor)
     alpha = cho_solve((chol_lower, True), y)
-    return GpModel(points=pts, labels=y, params=params, cov=cov,
+    return GpModel(points=pts, labels=y, params=params, diffs=diffs, cov=cov,
                    chol_lower=chol_lower, alpha=alpha)
 
 
@@ -137,9 +139,8 @@ def mean_terms(model: GpModel, queries, velocities=None
     if v.shape != model.points.shape:
         raise ValueError(f"velocities shape {v.shape} does not match "
                          f"training points {model.points.shape}")
-    dpos = model.points[:, None, :] - model.points[None, :, :]
     dvel = v[:, None, :] - v[None, :, :]
-    kdot_mat = -(model.cov * np.einsum("ijk,ijk->ij", dpos, dvel)) / l2
+    kdot_mat = -(model.cov * np.einsum("ijk,ijk->ij", model.diffs, dvel)) / l2
     beta = model.solve(kdot_mat @ model.alpha)
     kdot = k * np.einsum("qik,ik->qi", diff, v) / l2
     dmu_dt = kdot @ model.alpha - k @ beta

@@ -181,6 +181,8 @@ class ObstacleTracker:
 
     def step(self, detections: list[Ellipse], dt: float) -> dict[int, TrackedObstacle]:
         """Advance all tracks one frame; returns detection index -> track."""
+        if dt <= 0.0:
+            raise ValueError("dt must be > 0")
         track_ellipses = [t.ellipse() for t in self.tracks]
         matches, unmatched_tracks, unmatched_dets = associate(
             track_ellipses, detections, self.params.d_max)

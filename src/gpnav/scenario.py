@@ -343,20 +343,21 @@ def _parse_perception(sec: _Section) -> PerceptionParams:
 
 
 def _parse_tracker(sec: _Section) -> TrackerParams:
-    q_shape = sec.take_float("q_shape", 1e-4, nonnegative=True)
-    r_shape = sec.take_float("r_shape", 1e-3, nonnegative=True)
+    default = TrackerParams()
+    q_shape = sec.take_float("q_shape", default.q_shape, nonnegative=True)
+    r_shape = sec.take_float("r_shape", default.r_shape, nonnegative=True)
     if q_shape + r_shape == 0.0:
         raise ValidationError(f"{sec.prefix}: q_shape + r_shape must be > 0")
     params = TrackerParams(
-        d_max=sec.take_float("d_max", 1.0, positive=True),
-        max_misses=sec.take_int("max_misses", 5, positive=True),
-        min_velocity_age=sec.take_int("min_velocity_age", 2),
-        min_speed=sec.take_float("min_speed", 0.0, nonnegative=True),
-        q_pos=sec.take_float("q_pos", 1e-4, nonnegative=True),
-        q_vel=sec.take_float("q_vel", 1e-2, nonnegative=True),
-        q_acc=sec.take_float("q_acc", 1e-1, nonnegative=True),
+        d_max=sec.take_float("d_max", default.d_max, positive=True),
+        max_misses=sec.take_int("max_misses", default.max_misses, positive=True),
+        min_velocity_age=sec.take_int("min_velocity_age", default.min_velocity_age),
+        min_speed=sec.take_float("min_speed", default.min_speed, nonnegative=True),
+        q_pos=sec.take_float("q_pos", default.q_pos, nonnegative=True),
+        q_vel=sec.take_float("q_vel", default.q_vel, nonnegative=True),
+        q_acc=sec.take_float("q_acc", default.q_acc, nonnegative=True),
         q_shape=q_shape,
-        r_center=sec.take_float("r_center", 4e-4, nonnegative=True),
+        r_center=sec.take_float("r_center", default.r_center, nonnegative=True),
         r_shape=r_shape,
     )
     sec.finish()
@@ -364,10 +365,12 @@ def _parse_tracker(sec: _Section) -> TrackerParams:
 
 
 def _parse_sensor(sec: _Section) -> LidarSpec:
+    default = LidarSpec()
     spec = LidarSpec(
-        beam_count=sec.take_int("beams", 360, positive=True),
-        max_range=sec.take_float("max_range", 6.0, positive=True),
-        noise_sigma=sec.take_float("noise_sigma", 0.0, nonnegative=True),
+        beam_count=sec.take_int("beams", default.beam_count, positive=True),
+        max_range=sec.take_float("max_range", default.max_range, positive=True),
+        noise_sigma=sec.take_float("noise_sigma", default.noise_sigma,
+                                   nonnegative=True),
     )
     sec.finish()
     return spec

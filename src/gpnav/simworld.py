@@ -159,21 +159,31 @@ def cast_lidar(world: World, robot: RobotState, spec: LidarSpec,
     beams = spec.beam_count
     angles = 2.0 * np.pi * np.arange(beams) / beams
     dirs = np.stack([np.cos(robot.theta + angles), np.sin(robot.theta + angles)], axis=1)
-    best = np.full(beams, np.inf)
-    origin = robot.position
-    for obstacle in world.obstacles:
-        to_center = obstacle.center - origin
-        along = dirs @ to_center
-        closest_sq = float(to_center @ to_center) - obstacle.radius**2
-        disc = along * along - closest_sq
-        feasible = disc >= 0.0
-        if not np.any(feasible):
-            continue
-        root = np.sqrt(disc[feasible])
-        near = along[feasible] - root
-        far = along[feasible] + root
-        dist = np.where(near > 1e-9, near, np.where(far > 1e-9, far, np.inf))
-        best[feasible] = np.minimum(best[feasible], dist)
+    obstacles = world.obstacles
+    to_center = (np.array([ob.center for ob in obstacles]).reshape(-1, 2)
+                 - robot.position)
+    radii = np.array([ob.radius for ob in obstacles])
+    radius_sq = np.array([ob.radius**2 for ob in obstacles])   # libm pow, not r * r
+    # (K, 1, 2) @ (K, 2, 1) and (1, B, 2) @ (K, 2, 1) round exactly as one
+    # obstacle's own dot products; a 2-D (B, 2) @ (2, K) product does not
+    center_sq = np.matmul(to_center[:, None, :], to_center[:, :, None])[:, 0, 0]
+    # an obstacle whose nearest boundary is out of range makes no hit; the
+    # margin keeps one whose computed root rounds below max_range
+    reach = spec.max_range * (1.0 + 1e-9) + radii
+    in_range = center_sq < reach * reach
+    to_center = to_center[in_range]
+    closest_sq = center_sq[in_range] - radius_sq[in_range]
+    along = np.matmul(dirs[None], to_center[:, :, None])[:, :, 0]   # (K, B)
+    disc = np.multiply(along, along)
+    disc -= closest_sq[:, None]
+    feasible = disc >= 0.0
+    root = np.sqrt(disc, out=disc, where=feasible)
+    near = np.subtract(along, root, out=np.full_like(along, np.inf),
+                       where=feasible)                 # inf where beams miss
+    far = np.add(along, root, out=along)
+    dist = np.where(far > 1e-9, far, np.inf)
+    np.copyto(dist, near, where=near > 1e-9)
+    best = dist.min(axis=0, initial=np.inf)
 
     hits = best < spec.max_range
     ranges = np.where(hits, best, spec.max_range)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gpnav.perception.ellipse import Ellipse, fit_mvee
+from gpnav.perception.ellipse import Ellipse, _hull_vertices, fit_mvee
 
 CONTAIN_SCALE = 1.0 + 10 * 1e-4
 
@@ -140,6 +140,98 @@ class TestSlowLatticePattern:
         ellipse = fit_mvee(points, max_iter=200)
         assert ellipse.fit_gap > 1e-4
         assert np.all(ellipse.contains(points, scale=1.0 + 1e-12))
+
+
+def reference_mvee(points, tolerance=1e-4, max_iter=1000):
+    """Khachiyan ascent with away steps over every point, in numpy.
+
+    Returns (area, gap) of the ellipse (p-c)^T (S^-1 / 2) (p-c) <= 1.
+    """
+    n = len(points)
+    lifted = np.vstack([points.T, np.ones(n)])
+    u = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        sol = np.linalg.solve(lifted @ (u[:, None] * lifted.T), lifted)
+        scores = np.einsum("ij,ij->j", lifted, sol)
+        j_hi = int(np.argmax(scores))
+        hi = scores[j_hi]
+        if hi / 3.0 - 1.0 <= tolerance:
+            break
+        support = np.where(u > 1e-12, scores, np.inf)
+        j_lo = int(np.argmin(support))
+        lo = support[j_lo]
+        if hi - 3.0 >= 3.0 - lo or lo <= 1.0 + 1e-12:
+            step = (hi - 3.0) / (3.0 * (hi - 1.0))
+            u *= 1.0 - step
+            u[j_hi] += step
+        else:
+            step = max((lo - 3.0) / (3.0 * (lo - 1.0)), -u[j_lo] / (1.0 - u[j_lo]))
+            u *= 1.0 - step
+            u[j_lo] += step
+            np.maximum(u, 0.0, out=u)
+    center = points.T @ u
+    shape = points.T @ (u[:, None] * points) - np.outer(center, center)
+    return np.pi * 2.0 * np.sqrt(np.linalg.det(shape)), hi / 3.0 - 1.0
+
+
+def random_lattice_pattern(rng, size):
+    """A connected set of `size` cells grown from one cell by random steps."""
+    cells = {(0, 0)}
+    frontier = [(0, 0)]
+    while len(cells) < size:
+        x, y = frontier[int(rng.integers(len(frontier)))]
+        dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[int(rng.integers(4))]
+        if (x + dx, y + dy) not in cells:
+            cells.add((x + dx, y + dy))
+            frontier.append((x + dx, y + dy))
+    return np.array(sorted(cells))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_fits_match_reference_ascent(seed):
+    rng = np.random.default_rng(seed)
+    fitted = 0
+    for _ in range(12):
+        cells = random_lattice_pattern(rng, int(rng.integers(3, 101)))
+        points = 0.2 * (cells + 0.5)
+        if np.linalg.matrix_rank(points - points.mean(axis=0)) < 2:
+            continue                      # a straight bar: the padded fallback
+        ellipse = fit_mvee(points)
+        ref_area, ref_gap = reference_mvee(points)
+        assert ref_gap <= 1e-4
+        assert ellipse.fit_gap <= 1e-4
+        assert np.all(ellipse.contains(points, scale=CONTAIN_SCALE))
+        assert ellipse.area() == pytest.approx(ref_area, rel=1e-5)
+        fitted += 1
+    assert fitted >= 8
+
+
+def test_hull_drops_edge_points_and_ignores_order():
+    rng = np.random.default_rng(5)
+    corners = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]
+    edge = [(1.0, 0.0), (0.5, 0.0), (2.0, 0.5), (1.5, 1.0), (0.0, 0.25)]
+    inside = [(1.0, 0.5), (0.3, 0.7)]
+    points = np.array(corners + edge + inside + corners[:2])   # two repeats
+    for _ in range(5):
+        hull = _hull_vertices(rng.permutation(points))
+        assert sorted(hull) == sorted(corners)
+        assert len(hull) == 4
+
+
+def test_hull_matches_qhull_on_random_points():
+    from scipy.spatial import ConvexHull
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        points = rng.normal(size=(int(rng.integers(3, 60)), 2))
+        expected = sorted(map(tuple, points[ConvexHull(points).vertices].tolist()))
+        assert sorted(_hull_vertices(points)) == expected
+
+
+def test_rejects_points_not_in_the_plane():
+    with pytest.raises(ValueError):
+        fit_mvee(np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        fit_mvee(np.zeros((2, 2, 2)))
 
 
 def test_ellipse_vector_roundtrip():

@@ -2,9 +2,11 @@
 
 import pytest
 
+from gpnav.perception.tracking import TrackerParams
 from gpnav.scenario import (ParseError, ScenarioConfig, ValidationError,
                             build_world, canonical_scenarios, load_scenario,
                             resolve_scenario, scenario_from_dict, with_variant)
+from gpnav.simworld import LidarSpec
 
 MINIMAL = {
     "goal": {"position": [10.0, -2.0]},
@@ -30,6 +32,27 @@ class TestDefaults:
         assert cfg.dt == 0.05
         assert cfg.perception.grid.resolution == 0.2
         assert cfg.sensor.beam_count == 360
+
+    @pytest.mark.parametrize("section", [{}, None], ids=["empty", "null"])
+    def test_empty_tracker_and_sensor_take_the_dataclass_defaults(self, section):
+        cfg = scenario_from_dict({**MINIMAL, "perception": {"tracker": section},
+                                  "sensor": section})
+        assert cfg.perception.tracker == TrackerParams()
+        assert cfg.sensor == LidarSpec()
+
+    def test_shipped_tracker_and_sensor_configs(self):
+        # every field written out, so a moved default shows here
+        tracker = TrackerParams(d_max=1.0, max_misses=5, min_velocity_age=2,
+                                min_speed=0.12, q_pos=1e-4, q_vel=1e-3,
+                                q_acc=1e-3, q_shape=1e-4, r_center=1e-2,
+                                r_shape=1e-3)
+        sensor = LidarSpec(beam_count=360, max_range=6.0, noise_sigma=0.0)
+        shipped = canonical_scenarios()
+        assert len(shipped) == 5
+        for path in shipped.values():
+            cfg = load_scenario(path)
+            assert cfg.perception.tracker == tracker
+            assert cfg.sensor == sensor
 
     def test_static_motion_default(self):
         cfg = scenario_from_dict(MINIMAL)

@@ -149,12 +149,83 @@ class TestLidar:
             assert np.all((scan.ranges == spec.max_range) == ~scan.hits)
             assert np.all(scan.ranges > 0.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_obstacle_loop(self, seed):
+        """Bit for bit the ranges and hits of one obstacle at a time."""
+        rng = np.random.default_rng(seed)
+        spec = LidarSpec(beam_count=int(rng.choice([1, 7, 360])), max_range=6.0)
+        for trial in range(60):
+            robot = RobotState(*rng.uniform(-2, 2, 2), rng.uniform(-np.pi, np.pi))
+            world = _random_world(rng, robot, spec, count=int(rng.integers(0, 30)),
+                                  around=trial % 3 == 1)
+            if trial == 0:
+                world = World([])
+            scan = cast_lidar(world, robot, spec)
+            ranges, hits = _per_obstacle_cast(world, robot, spec)
+            assert np.array_equal(scan.ranges, ranges)
+            assert np.array_equal(scan.hits, hits)
+
     def test_deterministic_without_noise(self):
         world = World([Obstacle("c", 0.5, np.array([2.0, 1.0]))])
         robot = RobotState(0.0, 0.0, 0.2)
         a = cast_lidar(world, robot, self.SPEC)
         b = cast_lidar(world, robot, self.SPEC)
         assert np.array_equal(a.ranges, b.ranges)
+
+
+def _per_obstacle_cast(world, robot, spec):
+    """Reference cast: the nearest positive root, one obstacle at a time."""
+    angles = 2.0 * np.pi * np.arange(spec.beam_count) / spec.beam_count
+    dirs = np.stack([np.cos(robot.theta + angles),
+                     np.sin(robot.theta + angles)], axis=1)
+    best = np.full(spec.beam_count, np.inf)
+    for obstacle in world.obstacles:
+        to_center = obstacle.center - robot.position
+        along = dirs @ to_center
+        disc = along * along - (float(to_center @ to_center) - obstacle.radius**2)
+        feasible = disc >= 0.0
+        root = np.sqrt(disc[feasible])
+        near = along[feasible] - root
+        far = along[feasible] + root
+        dist = np.where(near > 1e-9, near, np.where(far > 1e-9, far, np.inf))
+        best[feasible] = np.minimum(best[feasible], dist)
+    hits = best < spec.max_range
+    return np.where(hits, best, spec.max_range), hits
+
+
+def _random_world(rng, robot, spec, count, around):
+    """Circles anywhere around the robot, plus the edge cases of the cast:
+    nearest boundaries on a beam within 1e-9 of max_range on either side, a
+    circle holding the robot (if around; it hides everything past it), one
+    whose boundary passes through the robot, and circles tangent to a beam."""
+    origin = robot.position
+
+    def beam_bearing():
+        return robot.theta + 2.0 * np.pi * rng.integers(spec.beam_count) / spec.beam_count
+
+    def at(distance, bearing):
+        return origin + distance * np.array([np.cos(bearing), np.sin(bearing)])
+
+    obstacles = [Obstacle(f"o{i}", rng.uniform(0.05, 1.5),
+                          origin + rng.uniform(-9.0, 9.0, 2))
+                 for i in range(count)]
+    for i, offset in enumerate((-1e-9, -5e-10, -1e-12, 0.0, 1e-12, 5e-10, 1e-9)):
+        radius = rng.uniform(0.1, 1.0)
+        obstacles.append(Obstacle(f"edge{i}", radius, at(
+            spec.max_range * (1.0 + offset) + radius, beam_bearing())))
+    if around:
+        radius = rng.uniform(0.5, 2.0)
+        obstacles.append(Obstacle("around", radius,
+                                  origin + rng.uniform(-0.3, 0.3, 2) * radius))
+    radius = rng.uniform(0.1, 1.0)
+    obstacles.append(Obstacle("touching", radius, at(radius, beam_bearing())))
+    for i in range(3):
+        radius = rng.uniform(0.1, 1.0)
+        distance = rng.uniform(radius + 0.5, spec.max_range)
+        bearing = beam_bearing() + np.arcsin(radius / distance) * rng.choice([-1.0, 1.0])
+        obstacles.append(Obstacle(f"tangent{i}", radius, at(distance, bearing)))
+    order = rng.permutation(len(obstacles))
+    return World([obstacles[k] for k in order])
 
 
 def _ray_march(world, origin, angle, max_range, step=1e-4):

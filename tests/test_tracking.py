@@ -286,6 +286,16 @@ class TestTracker:
         second = tracker.step([circle(0.0, 0.0)], dt=0.05)[0].track_id
         assert second != first
 
+    def test_step_rejects_nonpositive_dt_with_or_without_tracks(self):
+        tracker = ObstacleTracker(PARAMS)
+        for dt in (0.0, -0.05):
+            with pytest.raises(ValueError, match="dt must be > 0"):
+                tracker.step([circle(0.0, 0.0)], dt)
+        assert tracker.tracks == []
+        tracker.step([circle(0.0, 0.0)], dt=0.05)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            tracker.step([circle(0.0, 0.0)], 0.0)
+
     def test_far_detection_spawns_new_track(self):
         tracker = ObstacleTracker(TrackerParams(d_max=1.0))
         tracker.step([circle(0.0, 0.0)], dt=0.05)

@@ -119,7 +119,7 @@ class PerceptionPipeline:
             "track_ids": frame.track_ids,
             "tracks": [{
                 "id": tr.track_id,
-                "state": tr.state.tolist(),
+                "state": tr.state.ravel().tolist(),   # cx, cy, vx, vy, ax, ay
                 "age": tr.age,
                 "misses": tr.misses,
             } for tr in self.tracker.tracks],

@@ -1,13 +1,13 @@
-"""Frame-to-frame ellipse association and per-obstacle Kalman tracking.
+"""Frame-to-frame centre association and per-obstacle Kalman tracking.
 
-Each track estimates [cx, cy, vx, vy, ax, ay, semi_major, semi_minor, angle]:
-constant acceleration on the center, random walk on the shape. The noise
-densities are shared by both axes and by the three shape entries, and each
-measurement observes one coordinate per block, so the 9-state covariance
-stays blockdiag(P, P, s, s, s): a track keeps one 3x3 motion covariance P
-over (position, velocity, acceleration), shared by x and y, and one shape
-variance s. Association is a minimum-cost assignment on center distances
-with a gate; gated-out pairs spawn new tracks and record misses.
+Each track estimates the centre's position, velocity and acceleration under
+a constant-acceleration model, as a (3, 2) state: rows pos, vel, acc and
+columns x, y. The noise densities are shared by both axes and a detection
+measures one position per axis, so the 6x6 covariance over [cx, cy, vx, vy,
+ax, ay] stays one 3x3 block P over (position, velocity, acceleration), shared
+by x and y. Association is a minimum-cost assignment on centre distances
+with a gate; gated-out pairs spawn new tracks and record misses. Only the
+centre velocity leaves the tracker, for the barrier's time derivative.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .ellipse import Ellipse, _wrap_orientation
-
-STATE_DIM = 9
+from .ellipse import Ellipse
 
 
 @dataclass(frozen=True)
@@ -33,33 +31,30 @@ class TrackerParams:
     q_pos: float = 1e-4
     q_vel: float = 1e-2
     q_acc: float = 1e-1
-    q_shape: float = 1e-4
     r_center: float = 4e-4         # (2 cm)^2
-    r_shape: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.d_max <= 0.0:
             raise ValueError("d_max must be > 0")
         if self.max_misses < 1:
             raise ValueError("max_misses must be >= 1")
-        if self.q_shape + self.r_shape == 0.0:
-            raise ValueError("q_shape + r_shape must be > 0")
+        if self.q_pos + self.r_center == 0.0:
+            raise ValueError("q_pos + r_center must be > 0")
 
 
 @dataclass
 class TrackedObstacle:
-    """One tracked ellipse; age counts absorbed measurement updates."""
+    """One tracked obstacle centre; age counts absorbed measurement updates."""
 
     track_id: int
-    state: np.ndarray              # (9,)
+    state: np.ndarray              # (3, 2): rows pos, vel, acc; cols x, y
     motion_cov: np.ndarray         # (3, 3) symmetric PSD, shared by x and y
-    shape_var: float               # variance of each shape entry
     age: int = 0
     misses: int = 0
 
     @property
     def center(self) -> np.ndarray:
-        return self.state[:2]
+        return self.state[0]
 
     def velocity(self, min_age: int = 2, min_speed: float = 0.0) -> np.ndarray:
         """Estimated center velocity; zero until the track has warmed up.
@@ -69,47 +64,38 @@ class TrackedObstacle:
         """
         if self.age < min_age:
             return np.zeros(2)
-        estimate = self.state[2:4]
+        estimate = self.state[1]
         if float(np.linalg.norm(estimate)) < min_speed:
             return np.zeros(2)
         return estimate.copy()
 
-    def ellipse(self) -> Ellipse:
-        semi_major = max(self.state[6], 1e-3)
-        semi_minor = min(max(self.state[7], 1e-3), semi_major)
-        return Ellipse(center=self.state[:2].copy(), semi_major=float(semi_major),
-                       semi_minor=float(semi_minor),
-                       angle=_wrap_orientation(float(self.state[8])))
-
 
 def new_track(track_id: int, detection: Ellipse, params: TrackerParams) -> TrackedObstacle:
     """Start a track from a detection with unknown velocity and acceleration."""
-    state = np.zeros(STATE_DIM)
-    state[:2] = detection.center
-    state[6] = detection.semi_major
-    state[7] = detection.semi_minor
-    state[8] = detection.angle
+    state = np.zeros((3, 2))
+    state[0] = detection.center
     return TrackedObstacle(track_id=track_id, state=state,
-                           motion_cov=np.diag([params.r_center, 1.0, 1.0]),
-                           shape_var=float(params.r_shape))
+                           motion_cov=np.diag([params.r_center, 1.0, 1.0]))
 
 
-def affinity_matrix(tracks: list[Ellipse], detections: list[Ellipse]) -> np.ndarray:
+def affinity_matrix(tracks: np.ndarray, detections: np.ndarray) -> np.ndarray:
     """Center Euclidean distances, rows = tracks, cols = detections."""
-    ct = np.array([track.center for track in tracks], dtype=float).reshape(-1, 2)
-    cd = np.array([det.center for det in detections], dtype=float).reshape(-1, 2)
+    ct = np.asarray(tracks, dtype=float).reshape(-1, 2)
+    cd = np.asarray(detections, dtype=float).reshape(-1, 2)
     return np.linalg.norm(ct[:, None] - cd[None], axis=2)
 
 
-def associate(tracks: list[Ellipse], detections: list[Ellipse],
+def associate(tracks: np.ndarray, detections: np.ndarray,
               d_max: float) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Minimum-cost assignment on center distance, gated at d_max.
+
+    tracks and detections are (n, 2) and (m, 2) arrays of centres.
 
     Returns (matches, unmatched_track_indices, unmatched_detection_indices).
     Pairs whose distance exceeds the gate are severed: the detection becomes
     a new track and the track records a miss.
     """
-    if not tracks or not detections:
+    if len(tracks) == 0 or len(detections) == 0:
         return [], list(range(len(tracks))), list(range(len(detections)))
     cost = affinity_matrix(tracks, detections)
     rows, cols = linear_sum_assignment(cost)
@@ -132,19 +118,18 @@ def kalman_step(track: TrackedObstacle, detection: Ellipse | None, dt: float,
     """Predict with the constant-acceleration model, then update if measured.
 
     An absent detection is a predict-only step: the miss counter increments
-    and the covariance grows by the process noise. The angle innovation is
-    wrapped to (-pi/2, pi/2] to respect the ellipse's half-turn symmetry.
+    and the covariance grows by the process noise. Only detection.center is
+    measured.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     transition = np.array([[1.0, dt, 0.5 * dt * dt],
                            [0.0, 1.0, dt],
                            [0.0, 0.0, 1.0]])
-    motion = track.state[:6].reshape(3, 2)   # rows: pos, vel, acc; cols: x, y
-    motion[:] = transition @ motion
+    state = track.state
+    state[:] = transition @ state
     track.motion_cov = (transition @ track.motion_cov @ transition.T
                         + np.diag([params.q_pos, params.q_vel, params.q_acc]))
-    track.shape_var += params.q_shape
 
     if detection is None:
         track.misses += 1
@@ -152,20 +137,9 @@ def kalman_step(track: TrackedObstacle, detection: Ellipse | None, dt: float,
 
     cov = track.motion_cov
     gain = cov[:, 0] / (cov[0, 0] + params.r_center)
-    motion += np.outer(gain, detection.center - motion[0])
+    state += np.outer(gain, detection.center - state[0])
     cov = cov - np.outer(gain, cov[0])
     track.motion_cov = 0.5 * (cov + cov.T)
-
-    innovation = (np.array([detection.semi_major, detection.semi_minor,
-                            detection.angle]) - track.state[6:])
-    angle_err = (innovation[2] + np.pi / 2.0) % np.pi - np.pi / 2.0
-    if angle_err == -np.pi / 2.0:
-        angle_err = np.pi / 2.0
-    innovation[2] = angle_err
-    shape_gain = track.shape_var / (track.shape_var + params.r_shape)
-    track.state[6:] += shape_gain * innovation
-    track.state[8] = _wrap_orientation(float(track.state[8]))
-    track.shape_var *= 1.0 - shape_gain
     track.age += 1
     track.misses = 0
     return track
@@ -183,9 +157,9 @@ class ObstacleTracker:
         """Advance all tracks one frame; returns detection index -> track."""
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
-        track_ellipses = [t.ellipse() for t in self.tracks]
         matches, unmatched_tracks, unmatched_dets = associate(
-            track_ellipses, detections, self.params.d_max)
+            [t.center for t in self.tracks], [d.center for d in detections],
+            self.params.d_max)
 
         assignment: dict[int, TrackedObstacle] = {}
         for ti, dj in matches:

@@ -7,7 +7,7 @@ of silently falling back to a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -124,9 +124,10 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> ScenarioCo
     if schema != SCHEMA_VERSION:
         raise ValidationError(f"schema: unsupported version {schema}")
     name = section.take_str("name", default_name)
-    seed = section.take_int("seed", 0)
-    dt = section.take_float("dt", 0.05, positive=True)
-    max_time = section.take_float("max_time", 60.0, positive=True)
+    default = _field_defaults(ScenarioConfig)
+    seed = section.take_int("seed", default["seed"])
+    dt = section.take_float("dt", default["dt"], positive=True)
+    max_time = section.take_float("max_time", default["max_time"], positive=True)
 
     robot = _parse_robot(section.take_section("robot"))
     goal = _parse_goal(section.take_section("goal", required=True))
@@ -142,6 +143,11 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> ScenarioCo
                           seed=seed, dt=dt, max_time=max_time,
                           controller=controller, barrier=barrier_params,
                           kernel=kernel, perception=perception, sensor=sensor)
+
+
+def _field_defaults(cls) -> dict:
+    """Plain field defaults of a dataclass that has required fields."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 class _Section:
@@ -225,15 +231,18 @@ class _Section:
 
 
 def _parse_robot(sec: _Section) -> RobotConfig:
-    start = sec.take_pair("start", (-8.0, 3.0))
-    heading = sec.take_float("heading", 0.0)
+    default = RobotConfig()
+    start = sec.take_pair("start", default.start)
+    heading = sec.take_float("heading", default.heading)
     sec.finish()
     return RobotConfig(start=start, heading=heading)
 
 
 def _parse_goal(sec: _Section) -> GoalConfig:
     position = sec.take_pair("position", None)
-    radius = sec.take_float("arrival_radius", 0.05, positive=True)
+    radius = sec.take_float("arrival_radius",
+                            _field_defaults(GoalConfig)["arrival_radius"],
+                            positive=True)
     sec.finish()
     return GoalConfig(position=position, arrival_radius=radius)
 
@@ -258,7 +267,8 @@ def _parse_obstacles(entries: list) -> tuple[ObstacleConfig, ...]:
 
 
 def _parse_motion(sec: _Section, path: str) -> MotionSpec:
-    kind = sec.take_str("type", "static")
+    default = MotionSpec()
+    kind = sec.take_str("type", default.kind)
     if kind == "static":
         sec.finish()
         return MotionSpec(kind="static")
@@ -267,8 +277,8 @@ def _parse_motion(sec: _Section, path: str) -> MotionSpec:
         sec.finish()
         return MotionSpec(kind="velocity", velocity=velocity)
     if kind == "sinusoid":
-        axis = sec.take_pair("axis", (1.0, 0.0))
-        amplitude = sec.take_float("amplitude", 0.0, nonnegative=True)
+        axis = sec.take_pair("axis", default.axis)
+        amplitude = sec.take_float("amplitude", default.amplitude, nonnegative=True)
         period = sec.take_float("period", None, positive=True)
         sec.finish()
         return MotionSpec(kind="sinusoid", axis=axis, amplitude=amplitude,
@@ -277,30 +287,37 @@ def _parse_motion(sec: _Section, path: str) -> MotionSpec:
 
 
 def _parse_controller(sec: _Section) -> ControllerParams:
-    variant = sec.take_str("variant", "dlgp")
+    default = ControllerParams()
+    variant = sec.take_str("variant", default.variant)
     if variant not in VARIANTS:
         raise ValidationError(f"controller.variant: unknown variant {variant!r}; "
                               f"expected one of {list(VARIANTS)}")
     params = ControllerParams(
         variant=variant,
-        alpha_slope=sec.take_float("alpha_slope", 0.2, positive=True),
-        lead_offset=sec.take_float("lead_offset", 0.3, positive=True),
-        u_max=sec.take_float("u_max", 0.8, positive=True),
-        v_max=sec.take_float("v_max", 0.8, positive=True),
-        omega_max=sec.take_float("omega_max", 2.0, positive=True),
-        goal_deadband=sec.take_float("goal_deadband", 0.05, nonnegative=True),
-        evaluate_at_lead=sec.take_bool("evaluate_at_lead", True),
+        alpha_slope=sec.take_float("alpha_slope", default.alpha_slope,
+                                   positive=True),
+        lead_offset=sec.take_float("lead_offset", default.lead_offset,
+                                   positive=True),
+        u_max=sec.take_float("u_max", default.u_max, positive=True),
+        v_max=sec.take_float("v_max", default.v_max, positive=True),
+        omega_max=sec.take_float("omega_max", default.omega_max, positive=True),
+        goal_deadband=sec.take_float("goal_deadband", default.goal_deadband,
+                                     nonnegative=True),
+        evaluate_at_lead=sec.take_bool("evaluate_at_lead",
+                                       default.evaluate_at_lead),
     )
     sec.finish()
     return params
 
 
 def _parse_barrier(sec: _Section) -> BarrierParams:
+    default = BarrierParams()
     params = BarrierParams(
-        scale=sec.take_float("scale", 1.0, positive=True),
-        margin_shift=sec.take_float("margin_shift", 0.1, positive=True),
-        mu_floor=sec.take_float("mu_floor", 1e-12, positive=True),
-        linear_prior=sec.take_float("linear_prior", 0.9),
+        scale=sec.take_float("scale", default.scale, positive=True),
+        margin_shift=sec.take_float("margin_shift", default.margin_shift,
+                                    positive=True),
+        mu_floor=sec.take_float("mu_floor", default.mu_floor, positive=True),
+        linear_prior=sec.take_float("linear_prior", default.linear_prior),
     )
     sec.finish()
     if params.mu_floor > 1e-9:
@@ -309,34 +326,40 @@ def _parse_barrier(sec: _Section) -> BarrierParams:
 
 
 def _parse_kernel(sec: _Section) -> KernelParams:
+    default = KernelParams()
     params = KernelParams(
-        length_scale=sec.take_float("length_scale", 0.9, positive=True),
-        jitter=sec.take_float("jitter", 1e-8, nonnegative=True),
+        length_scale=sec.take_float("length_scale", default.length_scale,
+                                    positive=True),
+        jitter=sec.take_float("jitter", default.jitter, nonnegative=True),
     )
     sec.finish()
     return params
 
 
 def _parse_perception(sec: _Section) -> PerceptionParams:
+    default = PerceptionParams()
     grid_sec = sec.take_section("grid")
     grid = GridSpec(
-        width=grid_sec.take_int("width", 60, positive=True),
-        height=grid_sec.take_int("height", 60, positive=True),
-        resolution=grid_sec.take_float("resolution", 0.2, positive=True),
+        width=grid_sec.take_int("width", default.grid.width, positive=True),
+        height=grid_sec.take_int("height", default.grid.height, positive=True),
+        resolution=grid_sec.take_float("resolution", default.grid.resolution,
+                                       positive=True),
     )
     grid_sec.finish()
 
     cluster_sec = sec.take_section("clustering")
-    eps = cluster_sec.take_float("eps", 0.35, positive=True)
-    min_pts = cluster_sec.take_int("min_pts", 2, positive=True)
+    eps = cluster_sec.take_float("eps", default.eps, positive=True)
+    min_pts = cluster_sec.take_int("min_pts", default.min_pts, positive=True)
     cluster_sec.finish()
 
     tracker = _parse_tracker(sec.take_section("tracker"))
     params = PerceptionParams(
         grid=grid, eps=eps, min_pts=min_pts,
-        mvee_tolerance=sec.take_float("mvee_tolerance", 1e-4, positive=True),
+        mvee_tolerance=sec.take_float("mvee_tolerance", default.mvee_tolerance,
+                                      positive=True),
         tracker=tracker,
-        dataset_cap=sec.take_int("dataset_cap", 60, positive=True),
+        dataset_cap=sec.take_int("dataset_cap", default.dataset_cap,
+                                 positive=True),
     )
     sec.finish()
     return params
@@ -344,21 +367,19 @@ def _parse_perception(sec: _Section) -> PerceptionParams:
 
 def _parse_tracker(sec: _Section) -> TrackerParams:
     default = TrackerParams()
-    q_shape = sec.take_float("q_shape", default.q_shape, nonnegative=True)
-    r_shape = sec.take_float("r_shape", default.r_shape, nonnegative=True)
-    if q_shape + r_shape == 0.0:
-        raise ValidationError(f"{sec.prefix}: q_shape + r_shape must be > 0")
+    q_pos = sec.take_float("q_pos", default.q_pos, nonnegative=True)
+    r_center = sec.take_float("r_center", default.r_center, nonnegative=True)
+    if q_pos + r_center == 0.0:
+        raise ValidationError(f"{sec.prefix}: q_pos + r_center must be > 0")
     params = TrackerParams(
         d_max=sec.take_float("d_max", default.d_max, positive=True),
         max_misses=sec.take_int("max_misses", default.max_misses, positive=True),
         min_velocity_age=sec.take_int("min_velocity_age", default.min_velocity_age),
         min_speed=sec.take_float("min_speed", default.min_speed, nonnegative=True),
-        q_pos=sec.take_float("q_pos", default.q_pos, nonnegative=True),
+        q_pos=q_pos,
         q_vel=sec.take_float("q_vel", default.q_vel, nonnegative=True),
         q_acc=sec.take_float("q_acc", default.q_acc, nonnegative=True),
-        q_shape=q_shape,
-        r_center=sec.take_float("r_center", default.r_center, nonnegative=True),
-        r_shape=r_shape,
+        r_center=r_center,
     )
     sec.finish()
     return params

@@ -101,16 +101,30 @@ def test_factorization_failure_exits_three(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_zero_shape_noise_exits_two(tmp_path, capsys):
+def test_zero_center_noise_exits_two(tmp_path, capsys):
+    # with no position noise at all the Kalman gain divides zero by zero
     path = tmp_path / "rigid.yaml"
-    text = resolve_scenario("head_on").read_text()
-    path.write_text(text.replace("min_speed: 0.12}",
-                                 "min_speed: 0.12, q_shape: 0.0, r_shape: 0.0}"))
+    text = resolve_scenario("crossing").read_text()
+    path.write_text(text.replace(
+        "tracker: {r_center: 1.0e-2, q_vel: 1.0e-3, q_acc: 1.0e-3, min_speed: 0.12}",
+        "tracker: {q_pos: 0.0, q_vel: 0.0, q_acc: 0.0, r_center: 0.0, min_speed: 0.12}"))
     code = main(["run", str(path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "q_shape + r_shape" in err
+    assert "q_pos + r_center" in err
+    assert "Traceback" not in err
+
+
+def test_shape_noise_is_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "shaped.yaml"
+    text = resolve_scenario("head_on").read_text()
+    path.write_text(text.replace("min_speed: 0.12}",
+                                 "min_speed: 0.12, q_shape: 1.0e-4}"))
+    code = main(["run", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "perception.tracker: unknown key 'q_shape'" in err
     assert "Traceback" not in err
 
 

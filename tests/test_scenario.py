@@ -2,10 +2,15 @@
 
 import pytest
 
+from gpnav.barrier import BarrierParams
+from gpnav.controller import ControllerParams
+from gpnav.gp import KernelParams
+from gpnav.perception.pipeline import PerceptionParams
 from gpnav.perception.tracking import TrackerParams
-from gpnav.scenario import (ParseError, ScenarioConfig, ValidationError,
-                            build_world, canonical_scenarios, load_scenario,
-                            resolve_scenario, scenario_from_dict, with_variant)
+from gpnav.scenario import (GoalConfig, ParseError, RobotConfig, ScenarioConfig,
+                            ValidationError, build_world, canonical_scenarios,
+                            load_scenario, resolve_scenario, scenario_from_dict,
+                            with_variant)
 from gpnav.simworld import LidarSpec
 
 MINIMAL = {
@@ -40,12 +45,26 @@ class TestDefaults:
         assert cfg.perception.tracker == TrackerParams()
         assert cfg.sensor == LidarSpec()
 
+    @pytest.mark.parametrize("section", [{}, None], ids=["empty", "null"])
+    def test_empty_sections_take_the_dataclass_defaults(self, section):
+        cfg = scenario_from_dict({
+            "goal": {"position": [10.0, -2.0]}, "robot": section,
+            "controller": section, "barrier": section, "kernel": section,
+            "perception": {"grid": section, "clustering": section,
+                           "tracker": section}})
+        assert cfg.robot == RobotConfig()
+        assert cfg.controller == ControllerParams()
+        assert cfg.barrier == BarrierParams()
+        assert cfg.kernel == KernelParams()
+        assert cfg.perception == PerceptionParams()
+        assert cfg.goal == GoalConfig(position=(10.0, -2.0))
+        assert cfg == ScenarioConfig(name="scenario", goal=cfg.goal)
+
     def test_shipped_tracker_and_sensor_configs(self):
         # every field written out, so a moved default shows here
         tracker = TrackerParams(d_max=1.0, max_misses=5, min_velocity_age=2,
                                 min_speed=0.12, q_pos=1e-4, q_vel=1e-3,
-                                q_acc=1e-3, q_shape=1e-4, r_center=1e-2,
-                                r_shape=1e-3)
+                                q_acc=1e-3, r_center=1e-2)
         sensor = LidarSpec(beam_count=360, max_range=6.0, noise_sigma=0.0)
         shipped = canonical_scenarios()
         assert len(shipped) == 5

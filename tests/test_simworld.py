@@ -231,22 +231,27 @@ def _random_world(rng, robot, spec, count, around):
 def _ray_march(world, origin, angle, max_range, step=1e-4):
     """Brute-force reference: walk the ray until entering any obstacle."""
     direction = np.array([np.cos(angle), np.sin(angle)])
-    # coarse-to-fine march keeps the runtime tolerable at 1e-4 resolution
-    t = 0.0
+    # coarse-to-fine: sample every 1 cm at once, then bisect the first
+    # coarse step that ends inside an obstacle down to 1e-4
     coarse = 0.01
-    while t < max_range:
-        point = origin + (t + coarse) * direction
-        if world.clearance(point) <= 0.0:
-            lo, hi = t, t + coarse
-            while hi - lo > step / 2:
-                mid = (lo + hi) / 2
-                if world.clearance(origin + mid * direction) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        t += coarse
-    return max_range
+    starts = np.arange(0.0, max_range, coarse)
+    points = origin + (starts + coarse)[:, None] * direction
+    centers = np.array([ob.center for ob in world.obstacles])
+    radii = np.array([ob.radius for ob in world.obstacles])
+    clearance = np.min(np.linalg.norm(points[:, None] - centers[None], axis=2)
+                       - radii, axis=1)
+    inside = np.flatnonzero(clearance <= 0.0)
+    if len(inside) == 0:
+        return max_range
+    lo = float(starts[inside[0]])
+    hi = lo + coarse
+    while hi - lo > step / 2:
+        mid = (lo + hi) / 2
+        if world.clearance(origin + mid * direction) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_wrap_angle_range():

@@ -1,12 +1,12 @@
 """Association against a brute-force oracle, Kalman velocity estimation, and
-the per-axis filter against the dense 9-state filter it reduces to."""
+the per-axis filter against the dense 6-state filter it reduces to."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from gpnav.perception.ellipse import Ellipse, _wrap_orientation
+from gpnav.perception.ellipse import Ellipse
 from gpnav.perception.tracking import (ObstacleTracker, TrackerParams,
                                        affinity_matrix, associate, kalman_step,
                                        new_track)
@@ -16,6 +16,10 @@ PARAMS = TrackerParams()
 
 def circle(x, y, r=0.3):
     return Ellipse(center=np.array([x, y]), semi_major=r, semi_minor=r, angle=0.0)
+
+
+def random_centers(rng, count, bound):
+    return rng.uniform(-bound, bound, (count, 2))
 
 
 def brute_force_min_cost(cost):
@@ -29,69 +33,62 @@ def brute_force_min_cost(cost):
 
 
 def random_detection(rng, near):
-    """An ellipse near a center; a third of the angles sit near +-pi/2."""
+    """An ellipse of random shape near a center."""
     semi_major = float(rng.uniform(0.1, 2.0))
-    if rng.random() < 1.0 / 3.0:
-        angle = float(rng.choice([-1.0, 1.0]) * (np.pi / 2 - rng.uniform(0.0, 1e-2)))
-    else:
-        angle = float(rng.uniform(-np.pi / 2, np.pi / 2))
     return Ellipse(center=near + rng.normal(0.0, 0.05, 2), semi_major=semi_major,
                    semi_minor=semi_major * float(rng.uniform(0.2, 1.0)),
-                   angle=angle)
+                   angle=float(rng.uniform(-np.pi / 2, np.pi / 2)))
 
 
 def dense_step(state, cov, detection, dt, params):
-    """Reference: the full 9-state predict/update over [cx, cy, vx, vy, ax,
-    ay, semi_major, semi_minor, angle], with a 9x9 covariance."""
-    measured_idx = np.array([0, 1, 6, 7, 8])
-    transition = np.eye(9)
+    """Reference: the full 6-state predict/update over [cx, cy, vx, vy, ax,
+    ay], with a 6x6 covariance."""
+    measured_idx = np.array([0, 1])
+    transition = np.eye(6)
     transition[0, 2] = transition[1, 3] = dt
     transition[2, 4] = transition[3, 5] = dt
     transition[0, 4] = transition[1, 5] = 0.5 * dt * dt
-    q = np.diag([params.q_pos] * 2 + [params.q_vel] * 2 + [params.q_acc] * 2
-                + [params.q_shape] * 3)
-    r = np.diag([params.r_center] * 2 + [params.r_shape] * 3)
+    q = np.diag([params.q_pos] * 2 + [params.q_vel] * 2 + [params.q_acc] * 2)
+    r = np.diag([params.r_center] * 2)
     state = transition @ state
     cov = transition @ cov @ transition.T + q
     if detection is None:
         return state, cov
-    innovation = detection.as_vector() - state[measured_idx]
-    angle_err = (innovation[4] + np.pi / 2.0) % np.pi - np.pi / 2.0
-    innovation[4] = np.pi / 2.0 if angle_err == -np.pi / 2.0 else angle_err
+    innovation = detection.center - state[measured_idx]
     gain = np.linalg.solve(cov[np.ix_(measured_idx, measured_idx)] + r,
                            cov[:, measured_idx].T).T
     state = state + gain @ innovation
-    state[8] = _wrap_orientation(float(state[8]))
-    identity_less = np.eye(9)
-    identity_less[np.arange(9)[:, None], measured_idx] -= gain
+    identity_less = np.eye(6)
+    identity_less[np.arange(6)[:, None], measured_idx] -= gain
     cov = identity_less @ cov
     return state, 0.5 * (cov + cov.T)
 
 
 class TestAssociate:
     def test_identical_lists_identity_matching(self):
-        items = [circle(0, 0), circle(2, 1), circle(-1, 3)]
-        matches, missed, fresh = associate(items, list(items), d_max=1.0)
+        items = np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]])
+        matches, missed, fresh = associate(items, items.copy(), d_max=1.0)
         assert sorted(matches) == [(0, 0), (1, 1), (2, 2)]
         assert missed == [] and fresh == []
 
     def test_swap_cost_matrix(self):
         # cost [[1, 2], [2, 1]] -> diagonal matching, total 2
-        tracks = [circle(0, 0), circle(3, 0)]
-        dets = [circle(1, 0), circle(2, 0)]
+        tracks = np.array([[0.0, 0.0], [3.0, 0.0]])
+        dets = np.array([[1.0, 0.0], [2.0, 0.0]])
         matches, _, _ = associate(tracks, dets, d_max=5.0)
         assert sorted(matches) == [(0, 0), (1, 1)]
 
     def test_gate_severs_distant_pair(self):
-        matches, missed, fresh = associate([circle(0, 0)], [circle(1.5, 0)],
+        matches, missed, fresh = associate(np.zeros((1, 2)), np.array([[1.5, 0.0]]),
                                            d_max=1.0)
         assert matches == []
         assert missed == [0] and fresh == [0]
 
     def test_empty_lists(self):
-        matches, missed, fresh = associate([], [circle(0, 0)], d_max=1.0)
+        none, one = np.zeros((0, 2)), np.zeros((1, 2))
+        matches, missed, fresh = associate(none, one, d_max=1.0)
         assert matches == [] and missed == [] and fresh == [0]
-        matches, missed, fresh = associate([circle(0, 0)], [], d_max=1.0)
+        matches, missed, fresh = associate(one, none, d_max=1.0)
         assert matches == [] and missed == [0] and fresh == []
 
     def test_optimal_cost_matches_brute_force(self):
@@ -99,8 +96,8 @@ class TestAssociate:
         for _ in range(200):
             rows = int(rng.integers(1, 7))
             cols = int(rng.integers(1, 7))
-            tracks = [circle(*rng.uniform(-5, 5, 2)) for _ in range(rows)]
-            dets = [circle(*rng.uniform(-5, 5, 2)) for _ in range(cols)]
+            tracks = random_centers(rng, rows, 5)
+            dets = random_centers(rng, cols, 5)
             cost = affinity_matrix(tracks, dets)
             matches, _, _ = associate(tracks, dets, d_max=np.inf)
             total = sum(cost[i, j] for i, j in matches)
@@ -108,32 +105,32 @@ class TestAssociate:
 
     def test_affinity_entries_nonnegative(self):
         rng = np.random.default_rng(1)
-        tracks = [circle(*rng.uniform(-3, 3, 2)) for _ in range(4)]
-        dets = [circle(*rng.uniform(-3, 3, 2)) for _ in range(5)]
+        tracks = random_centers(rng, 4, 3)
+        dets = random_centers(rng, 5, 3)
         assert np.all(affinity_matrix(tracks, dets) >= 0.0)
 
     def test_affinity_matches_pairwise_loop(self):
         rng = np.random.default_rng(2)
-        tracks = [circle(*rng.uniform(-8, 8, 2)) for _ in range(20)]
-        dets = [circle(*rng.uniform(-8, 8, 2)) for _ in range(18)]
+        tracks = random_centers(rng, 20, 8)
+        dets = random_centers(rng, 18, 8)
         reference = np.zeros((20, 18))
         for i, track in enumerate(tracks):
             for j, det in enumerate(dets):
-                reference[i, j] = float(np.linalg.norm(track.center - det.center))
+                reference[i, j] = float(np.linalg.norm(track - det))
         assert np.max(np.abs(affinity_matrix(tracks, dets) - reference)) <= 1e-14
 
     def test_affinity_of_empty_lists(self):
-        assert affinity_matrix([], [circle(0, 0)]).shape == (0, 1)
-        assert affinity_matrix([circle(0, 0)], []).shape == (1, 0)
-        assert affinity_matrix([], []).shape == (0, 0)
+        none, one = np.zeros((0, 2)), np.zeros((1, 2))
+        assert affinity_matrix(none, one).shape == (0, 1)
+        assert affinity_matrix(one, none).shape == (1, 0)
+        assert affinity_matrix(none, none).shape == (0, 0)
 
 
 class TestKalman:
     def test_noise_free_constant_velocity_exact_after_three_updates(self):
         # with (near-)zero noise the filter interpolates the measurements, so
         # a linear path gives the exact velocity once three updates are in
-        params = TrackerParams(q_pos=0.0, q_vel=0.0, q_acc=0.0, q_shape=0.0,
-                               r_center=1e-14, r_shape=1e-14)
+        params = TrackerParams(q_pos=0.0, q_vel=0.0, q_acc=0.0, r_center=1e-14)
         dt, v_true = 0.1, np.array([0.6, -0.4])
         track = new_track(0, circle(0.0, 0.0), params)
         for k in range(1, 4):
@@ -145,8 +142,7 @@ class TestKalman:
         # a quadratic path is fit exactly by the constant-acceleration model,
         # so the filter velocity must equal the second-order backward
         # difference of the measurements (both give the instantaneous value)
-        params = TrackerParams(q_pos=0.0, q_vel=0.0, q_acc=0.0, q_shape=0.0,
-                               r_center=1e-14, r_shape=1e-14)
+        params = TrackerParams(q_pos=0.0, q_vel=0.0, q_acc=0.0, r_center=1e-14)
         dt = 0.05
         rng = np.random.default_rng(2)
         v0, acc = rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2)
@@ -162,10 +158,9 @@ class TestKalman:
 
     def test_predict_only_grows_covariance_trace(self):
         track = new_track(0, circle(1.0, 1.0), PARAMS)
-        motion_before, shape_before = np.trace(track.motion_cov), track.shape_var
+        before = np.trace(track.motion_cov)
         kalman_step(track, None, 0.05, PARAMS)
-        assert np.trace(track.motion_cov) > motion_before
-        assert track.shape_var > shape_before
+        assert np.trace(track.motion_cov) > before
         assert track.misses == 1
 
     def test_seeded_noisy_velocity_within_tolerance(self):
@@ -179,17 +174,6 @@ class TestKalman:
         err = np.linalg.norm(track.velocity(min_age=2) - v_true)
         assert err <= 0.1
 
-    def test_angle_innovation_wraps_half_turn(self):
-        # measurement angle near +pi/2 with state near -pi/2: equivalent
-        # orientations must not produce a near-pi innovation jump
-        params = TrackerParams()
-        track = new_track(0, Ellipse(center=np.zeros(2), semi_major=0.5,
-                                     semi_minor=0.2, angle=-1.5), params)
-        kalman_step(track, Ellipse(center=np.zeros(2), semi_major=0.5,
-                                   semi_minor=0.2, angle=1.5), 0.05, params)
-        assert -np.pi / 2 <= track.state[8] < np.pi / 2
-        assert abs(track.state[8]) > 1.3   # stayed near the shared orientation
-
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(3)
         track = new_track(0, circle(0.0, 0.0), PARAMS)
@@ -198,19 +182,17 @@ class TestKalman:
             kalman_step(track, det, 0.05, PARAMS)
             assert np.allclose(track.motion_cov, track.motion_cov.T, atol=1e-12)
             assert np.linalg.eigvalsh(track.motion_cov).min() >= -1e-12
-            assert track.shape_var > 0.0
 
-    def test_matches_dense_nine_state_filter(self):
+    def test_matches_dense_six_state_filter(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            noise = 10.0 ** rng.uniform(-6.0, 0.0, 6)
+            noise = 10.0 ** rng.uniform(-6.0, 0.0, 4)
             params = TrackerParams(q_pos=noise[0], q_vel=noise[1], q_acc=noise[2],
-                                   q_shape=noise[3], r_center=noise[4],
-                                   r_shape=noise[5])
+                                   r_center=noise[3])
             center = np.zeros(2)
             track = new_track(0, random_detection(rng, center), params)
-            state = track.state.copy()
-            cov = np.diag([params.r_center] * 2 + [1.0] * 4 + [params.r_shape] * 3)
+            state = track.state.flatten()
+            cov = np.diag([params.r_center] * 2 + [1.0] * 4)
             for _ in range(40):
                 dt = float(rng.uniform(0.01, 0.3))
                 center = center + rng.normal(0.0, 0.2, 2)
@@ -219,11 +201,8 @@ class TestKalman:
                 kalman_step(track, detection, dt, params)
                 state, cov = dense_step(state, cov, detection, dt, params)
                 denom = np.maximum(np.abs(state), 1.0)
-                assert np.max(np.abs(track.state - state) / denom) <= 1e-9
-                reduced = np.zeros((9, 9))
-                reduced[0:6:2, 0:6:2] = track.motion_cov
-                reduced[1:6:2, 1:6:2] = track.motion_cov
-                reduced[6:, 6:] = track.shape_var * np.eye(3)
+                assert np.max(np.abs(track.state.ravel() - state) / denom) <= 1e-9
+                reduced = np.kron(track.motion_cov, np.eye(2))
                 scale = np.max(np.abs(cov))
                 assert np.max(np.abs(reduced - cov)) <= 1e-9 * scale
 
@@ -232,10 +211,12 @@ class TestKalman:
         with pytest.raises(ValueError):
             kalman_step(track, None, 0.0, PARAMS)
 
-    def test_params_reject_zero_shape_noise(self):
-        # the shape gain s / (s + r_shape) would divide zero by zero
-        with pytest.raises(ValueError):
-            TrackerParams(q_shape=0.0, r_shape=0.0)
+    def test_params_reject_zero_center_noise(self):
+        # the gain P[:, 0] / (P[0, 0] + r_center) would divide zero by zero
+        with pytest.raises(ValueError, match="q_pos \\+ r_center"):
+            TrackerParams(q_pos=0.0, r_center=0.0)
+        TrackerParams(q_pos=0.0, r_center=1e-14)
+        TrackerParams(q_pos=1e-14, r_center=0.0)
 
 
 class TestTracker:
@@ -265,9 +246,9 @@ class TestTracker:
         params = TrackerParams(min_speed=0.2)
         track = new_track(0, circle(0.0, 0.0), params)
         track.age = 5
-        track.state[2:4] = [0.05, 0.05]
+        track.state[1] = [0.05, 0.05]
         assert np.allclose(track.velocity(2, params.min_speed), 0.0)
-        track.state[2:4] = [0.5, 0.0]
+        track.state[1] = [0.5, 0.0]
         assert np.allclose(track.velocity(2, params.min_speed), [0.5, 0.0])
 
     def test_track_dropped_after_five_misses(self):

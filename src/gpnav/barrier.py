@@ -9,12 +9,11 @@ derivative of mu along the tracked per-point velocities.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import GpModel, KernelParams, build_model, mean_terms
+from .gp import GpModel, KernelParams, build_model, grid_mean, mean_terms
 from .perception.grid import ObstacleGridMap, VelocityGridMap
 
 
@@ -87,11 +86,16 @@ def build_datasets(obstacle_grid: ObstacleGridMap, velocity_grid: VelocityGridMa
     return points, velocities
 
 
-def _gp_terms(model: GpModel | None, queries, velocities=None):
-    """gp.mean_terms, refusing a missing or empty model."""
+def _require_points(model: GpModel | None) -> GpModel:
+    """The model itself, refusing a missing or empty one."""
     if model is None or model.size == 0:
         raise EmptyDataset("barrier evaluated without training points")
-    return mean_terms(model, queries, velocities)
+    return model
+
+
+def _gp_terms(model: GpModel | None, queries, velocities=None):
+    """gp.mean_terms, refusing a missing or empty model."""
+    return mean_terms(_require_points(model), queries, velocities)
 
 
 def _log_value(mu, params: BarrierParams):
@@ -151,18 +155,21 @@ def export_field(model: GpModel, params: BarrierParams, path,
     """Write an (x, y, h) CSV grid of barrier values over a rectangle.
 
     Returns the number of rows written. Intended for external surface or
-    contour plotting of the barrier landscape.
+    contour plotting of the barrier landscape. Rows run x-major (y fastest),
+    under the header x,y,h, and end in \\r\\n like csv.writer's default
+    dialect. The mean comes from one separable gp.grid_mean pass and each
+    coordinate is formatted once, so a row costs one f-string.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be > 0")
     xs = np.arange(x_range[0], x_range[1] + 0.5 * resolution, resolution)
     ys = np.arange(y_range[0], y_range[1] + 0.5 * resolution, resolution)
-    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    mu, _, _ = _gp_terms(model, grid)
-    values = _log_value(mu, params)
+    values = _log_value(grid_mean(_require_points(model), xs, ys), params)
+    x_text = [f"{x:.6f}" for x in xs.tolist()]
+    y_text = [f",{y:.6f}," for y in ys.tolist()]
+    rows = [f"{xc}{yc}{h:.9f}\r\n"
+            for xc, column in zip(x_text, values.tolist())
+            for yc, h in zip(y_text, column)]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "y", "h"])
-        writer.writerows([f"{x:.6f}", f"{y:.6f}", f"{h:.9f}"]
-                         for (x, y), h in zip(grid, values))
-    return len(values)
+        handle.write("x,y,h\r\n" + "".join(rows))
+    return len(rows)

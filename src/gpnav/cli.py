@@ -59,11 +59,28 @@ def _build_parser() -> argparse.ArgumentParser:
     grad.set_defaults(handler=_cmd_check_gradients)
 
     bench = sub.add_parser("bench", help="time full barrier evaluations")
-    bench.add_argument("--sizes", default="1,5,30,60",
-                       help="comma-separated dataset sizes")
-    bench.add_argument("--reps", type=int, default=50)
+    bench.add_argument("--sizes", type=_sizes, default=[1, 5, 30, 60],
+                       help="comma-separated dataset sizes, each >= 1")
+    bench.add_argument("--reps", type=_positive_int, default=50)
     bench.set_defaults(handler=_cmd_bench)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
+def _sizes(text: str) -> list[int]:
+    sizes = [_positive_int(s) for s in text.split(",") if s.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("no dataset sizes given")
+    return sizes
 
 
 def _load(args):
@@ -75,6 +92,10 @@ def _load(args):
 
 
 def _cmd_run(args) -> int:
+    if (args.dump_field or args.dump_perception) and args.out_dir is None:
+        print("error: --dump-field and --dump-perception write into --out-dir, "
+              "which was not given", file=sys.stderr)
+        return 2
     cfg = _load(args)
     if args.variant is not None:
         cfg = with_variant(cfg, args.variant)
@@ -106,8 +127,7 @@ def _cmd_check_gradients(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rows = bench_barrier(sizes, repetitions=args.reps)
+    rows = bench_barrier(args.sizes, repetitions=args.reps)
     print(f"{'N':>5} {'mean_ms':>10} {'median_ms':>10}")
     for row in rows:
         print(f"{row.size:>5} {row.mean_ms:>10.3f} {row.median_ms:>10.3f}")

@@ -8,7 +8,7 @@ import pytest
 from gpnav import barrier
 from gpnav.barrier import (BarrierParams, EmptyDataset, build_datasets,
                            evaluate, evaluate_full, export_field)
-from gpnav.gp import KernelParams, build_model
+from gpnav.gp import GpModel, KernelParams, build_model
 from gpnav.perception.grid import (GridSpec, ObstacleGridMap, VelocityGridMap,
                                    build_velocity_grid)
 
@@ -321,3 +321,31 @@ def test_export_field_rows_match_evaluate(tmp_path):
         x, y = xs[index // len(ys)], ys[index % len(ys)]
         assert (x_text, y_text) == (f"{x:.6f}", f"{y:.6f}")
         assert abs(float(h_text) - evaluate(model, PARAMS, (x, y))) <= 5e-10
+
+
+def test_export_field_bytes_follow_csv_writer(tmp_path):
+    model = build_model([[0.3, -0.2], [1.1, 0.4]], params=KERNEL)
+    path = tmp_path / "field.csv"
+    rows = export_field(model, PARAMS, path, (-1.0, 1.5), (-0.5, 0.5),
+                        resolution=0.5)
+    data = path.read_bytes()
+    assert data.startswith(b"x,y,h\r\n")
+    lines = data.split(b"\r\n")
+    assert lines[-1] == b""
+    assert len(lines) - 2 == rows == 6 * 3
+    # every row ends in \r\n: no bare \n or \r is left inside a line
+    assert all(b"\n" not in line and b"\r" not in line for line in lines)
+    assert all(len(line.split(b",")) == 3 for line in lines[:-1])
+
+
+@pytest.mark.parametrize("model", [
+    None,
+    GpModel(points=np.empty((0, 2)), labels=np.empty(0), params=KERNEL,
+            diffs=np.empty((0, 0, 2)), cov=np.empty((0, 0)),
+            chol_lower=np.empty((0, 0)), alpha=np.empty(0)),
+], ids=["none", "size-0"])
+def test_export_field_refuses_an_empty_model(tmp_path, model):
+    path = tmp_path / "field.csv"
+    with pytest.raises(EmptyDataset):
+        export_field(model, PARAMS, path, (-1.0, 1.0), (-1.0, 1.0))
+    assert not path.exists()

@@ -170,3 +170,28 @@ def test_bench_prints_rows(capsys):
     out = capsys.readouterr().out
     assert "mean_ms" in out
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sizes", "0"], "argument --sizes: 0 is not >= 1"),
+    (["--sizes", "x"], "argument --sizes: 'x' is not an integer"),
+    (["--reps", "0"], "argument --reps: 0 is not >= 1"),
+])
+def test_bench_rejects_bad_input_with_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", *argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--dump-field", "--dump-perception"])
+def test_run_dump_without_out_dir_exits_two(quick_scenario, flag, capsys):
+    code = main(["run", str(quick_scenario), flag])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--out-dir" in captured.err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gpnav.bench import random_dataset
-from gpnav.gp import FactorizationFailure, KernelParams, build_model, mean_terms
+from gpnav.gp import (FactorizationFailure, KernelParams, build_model, grid_mean,
+                      mean_terms)
 
 PARAMS = KernelParams(length_scale=0.9, jitter=1e-8)
 EXACT = KernelParams(length_scale=0.9, jitter=0.0)
@@ -327,3 +328,31 @@ class TestMeanTerms:
         moving = mean_terms(model, queries, vel)
         np.testing.assert_array_equal(mu, moving[0])
         np.testing.assert_array_equal(grad, moving[1])
+
+
+# Rectangles as (x_range, y_range, resolution): non-square and off-centre, a
+# single row, a single column, and a step that does not divide the range.
+GRID_WINDOWS = [
+    ((-3.7, 1.2), (0.4, 4.9), 0.3),
+    ((1.3, 1.3), (-4.0, 4.0), 0.25),
+    ((-4.5, 3.5), (-0.7, -0.7), 0.2),
+    ((-2.0, 2.0), (-2.0, 2.0), 0.35),
+]
+
+
+@pytest.mark.parametrize("n", [1, 5, 30, 60])
+def test_grid_mean_matches_mean_terms(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        points, _ = random_dataset(rng, n)
+        model = build_model(points, params=PARAMS)
+        for (x_lo, x_hi), (y_lo, y_hi), res in GRID_WINDOWS:
+            xs = np.arange(x_lo, x_hi + 0.5 * res, res)
+            ys = np.arange(y_lo, y_hi + 0.5 * res, res)
+            mu = grid_mean(model, xs, ys)
+            assert mu.shape == (len(xs), len(ys))
+            queries = np.stack(np.meshgrid(xs, ys, indexing="ij"),
+                               axis=-1).reshape(-1, 2)
+            reference = mean_terms(model, queries)[0]
+            rel = np.abs(mu.ravel() - reference) / np.abs(reference)
+            assert np.max(rel) <= 1e-11

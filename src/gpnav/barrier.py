@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import GpModel, KernelParams, build_model, grid_mean, mean_terms
-from .perception.grid import ObstacleGridMap, VelocityGridMap
+from .perception.grid import ObstacleGridMap
 
 
 class EmptyDataset(Exception):
@@ -64,20 +64,19 @@ class BarrierEvaluation:
     clamped: bool
 
 
-def build_datasets(obstacle_grid: ObstacleGridMap, velocity_grid: VelocityGridMap,
+def build_datasets(obstacle_grid: ObstacleGridMap, velocity_grid: np.ndarray,
                    cap: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Turn occupied cells into training points with index-aligned velocities.
 
     Points are cell centers in world coordinates, enumerated in row-major
-    occupied order. When the occupied count exceeds the cap, every stride-th
-    cell is kept (stride = ceil(count / cap)), so repeated runs subsample
-    identically. An empty grid yields empty arrays.
+    occupied order; velocity_grid holds one (2,) velocity per occupied cell,
+    in the same order. When the occupied count exceeds the cap, every
+    stride-th cell is kept (stride = ceil(count / cap)), so repeated runs
+    subsample identically. An empty grid yields empty arrays.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    cells = obstacle_grid.occupied_cells()
-    points = obstacle_grid.occupied_points()
-    velocities = velocity_grid.velocities_at(cells)
+    points, velocities = obstacle_grid.points, velocity_grid
     count = len(points)
     if count > cap:
         stride = int(np.ceil(count / cap))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,7 +108,8 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
 
     With out_dir set, writes trajectory.csv and metrics.json, plus the
     optional barrier-field grid (final frame's model) and per-frame
-    perception JSON-lines.
+    perception JSON-lines. When no frame saw an obstacle there is no model
+    to export: the field is not written, and a warning says so on stderr.
     """
     world = build_world(cfg)
     robot = RobotState(x=cfg.robot.start[0], y=cfg.robot.start[1],
@@ -179,7 +181,11 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
         log.write_csv(out / "trajectory.csv")
         (out / "metrics.json").write_text(
             json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
-        if dump_field and last_model is not None:
+        if dump_field and last_model is None:
+            print("warning: barrier_field.csv not written: no frame of the "
+                  "episode observed an obstacle, so there is no barrier model "
+                  "to export", file=sys.stderr)
+        elif dump_field:
             lo = np.min(last_model.points, axis=0) - 2.0
             hi = np.max(last_model.points, axis=0) + 2.0
             barrier.export_field(last_model, cfg.barrier, out / "barrier_field.csv",

@@ -1,18 +1,1 @@
 """LiDAR perception: occupancy grids, clustering, ellipse fits, tracking."""
-
-from .clustering import NOISE, dbscan
-from .ellipse import Ellipse, fit_mvee
-from .grid import (GridSpec, ObstacleGridMap, VelocityGridMap,
-                   build_velocity_grid, grid_origin, update_obstacle_grid)
-from .pipeline import PerceptionFrame, PerceptionParams, PerceptionPipeline
-from .tracking import (ObstacleTracker, TrackedObstacle, TrackerParams,
-                       affinity_matrix, associate, kalman_step, new_track)
-
-__all__ = [
-    "NOISE", "dbscan", "Ellipse", "fit_mvee", "GridSpec", "ObstacleGridMap",
-    "VelocityGridMap", "build_velocity_grid", "grid_origin",
-    "update_obstacle_grid", "PerceptionFrame", "PerceptionParams",
-    "PerceptionPipeline", "ObstacleTracker", "TrackedObstacle",
-    "TrackerParams", "affinity_matrix", "associate", "kalman_step",
-    "new_track",
-]

@@ -1,8 +1,8 @@
-"""Robot-centered occupancy and velocity grid maps built from range scans."""
+"""Robot-centered occupancy grid and per-cell velocities from range scans."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,46 +35,22 @@ def grid_origin(robot_position, spec: GridSpec) -> np.ndarray:
 
 @dataclass
 class ObstacleGridMap:
-    """Binary occupancy over the local window; rebuilt from scratch each frame."""
+    """Binary occupancy over the local window, rebuilt every frame.
+
+    The occupied cells are found once, on construction: cells holds their
+    (M, 2) integer indices and points their (M, 2) world centres, both in
+    row-major order. Every per-cell array of the frame aligns with them.
+    """
 
     spec: GridSpec
     origin: np.ndarray            # world xy of the (0, 0) cell corner
     occupied: np.ndarray          # (width, height) bool
+    cells: np.ndarray = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False)
 
-    def world_to_cell(self, point) -> tuple[int, int] | None:
-        """Cell index containing a world point, or None when outside the window."""
-        rel = (np.asarray(point, dtype=float) - self.origin) / self.spec.resolution
-        ix, iy = int(np.floor(rel[0])), int(np.floor(rel[1]))
-        if 0 <= ix < self.spec.width and 0 <= iy < self.spec.height:
-            return ix, iy
-        return None
-
-    def cell_center(self, ix: int, iy: int) -> np.ndarray:
-        return self.origin + self.spec.resolution * (np.array([ix, iy], dtype=float) + 0.5)
-
-    def occupied_cells(self) -> np.ndarray:
-        """Indices of occupied cells, (M, 2) int, in row-major order."""
-        return np.argwhere(self.occupied)
-
-    def occupied_points(self) -> np.ndarray:
-        """World centers of occupied cells, (M, 2), in row-major order."""
-        cells = self.occupied_cells()
-        return self.origin + self.spec.resolution * (cells.astype(float) + 0.5)
-
-
-@dataclass
-class VelocityGridMap:
-    """Per-cell 2D obstacle velocity, aligned with an ObstacleGridMap."""
-
-    spec: GridSpec
-    origin: np.ndarray
-    velocities: np.ndarray        # (width, height, 2) m/s
-
-    def velocities_at(self, cells: np.ndarray) -> np.ndarray:
-        """Velocity vectors for an (M, 2) array of cell indices."""
-        if len(cells) == 0:
-            return np.zeros((0, 2))
-        return self.velocities[cells[:, 0], cells[:, 1]]
+    def __post_init__(self) -> None:
+        self.cells = np.argwhere(self.occupied)
+        self.points = self.origin + self.spec.resolution * (self.cells + 0.5)
 
 
 def update_obstacle_grid(scan, robot, spec: GridSpec) -> ObstacleGridMap:
@@ -98,16 +74,12 @@ def update_obstacle_grid(scan, robot, spec: GridSpec) -> ObstacleGridMap:
     return ObstacleGridMap(spec=spec, origin=origin, occupied=occupied)
 
 
-def build_velocity_grid(grid: ObstacleGridMap, labels: np.ndarray,
-                        velocity_by_cluster: dict[int, np.ndarray]) -> VelocityGridMap:
-    """Broadcast each cluster's tracked velocity onto its occupied cells.
+def build_velocity_grid(labels: np.ndarray, cluster_velocities) -> np.ndarray:
+    """Per-cell velocities, (M, 2), aligned with the labels' cells.
 
-    labels align with grid.occupied_cells() order; clusters missing from the
-    mapping (noise, unmatched or newly created tracks) get zero velocity.
+    cluster_velocities holds one (2,) velocity per cluster id 0..C-1. Each
+    cell reads its cluster's row of a (C + 1, 2) table whose last row is
+    zero, so NOISE (-1) cells get zero velocity.
     """
-    velocities = np.zeros((grid.spec.width, grid.spec.height, 2))
-    cells = grid.occupied_cells()
-    for label, vel in velocity_by_cluster.items():
-        own = cells[labels == label]
-        velocities[own[:, 0], own[:, 1]] = vel
-    return VelocityGridMap(spec=grid.spec, origin=grid.origin, velocities=velocities)
+    table = np.array([*cluster_velocities, (0.0, 0.0)])
+    return table[labels]

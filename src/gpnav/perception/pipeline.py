@@ -7,14 +7,14 @@ the barrier needs for the current frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import NOISE, dbscan
+from .clustering import dbscan
 from .ellipse import Ellipse, fit_mvee
-from .grid import (GridSpec, ObstacleGridMap, VelocityGridMap,
-                   build_velocity_grid, update_obstacle_grid)
+from .grid import (GridSpec, ObstacleGridMap, build_velocity_grid,
+                   update_obstacle_grid)
 from .tracking import ObstacleTracker, TrackerParams
 
 FIT_MEMO_CAPACITY = 4096   # distinct cell patterns kept before the memo is cleared
@@ -43,7 +43,7 @@ class PerceptionFrame:
     """Snapshot of one frame's perception outputs."""
 
     obstacle_grid: ObstacleGridMap
-    velocity_grid: VelocityGridMap
+    velocity_grid: np.ndarray      # (M, 2) tracked velocity per occupied cell
     points: np.ndarray             # (M, 2) occupied cell centers
     labels: np.ndarray             # (M,) cluster ids, NOISE for outliers
     ellipses: list[Ellipse]
@@ -58,52 +58,58 @@ class PerceptionPipeline:
         self._fits: dict[bytes, Ellipse] = {}   # local cell pattern -> local fit
 
     def process(self, scan, robot, dt: float) -> PerceptionFrame:
-        """Run one full perception frame and refresh the track store."""
+        """Run one full perception frame and refresh the track store.
+
+        Every per-cell array (points, labels, velocities) aligns with
+        grid.cells. One stable sort by label lays each cluster's cells out
+        as one slice, still in row-major order.
+        """
         params = self.params
         grid = update_obstacle_grid(scan, robot, params.grid)
-        cells = grid.occupied_cells()
-        points = grid.occupied_points()
-        if len(points) > 0:
-            labels = dbscan(points, params.eps, params.min_pts)
-        else:
-            labels = np.zeros(0, dtype=int)
-
-        cluster_ids = sorted(int(c) for c in np.unique(labels) if c != NOISE)
-        ellipses = [self._fit_cluster(grid, cells[labels == cid])
-                    for cid in cluster_ids]
+        labels = dbscan(grid, params.eps, params.min_pts)
+        count = int(labels.max()) + 1 if len(labels) else 0
+        sizes = np.bincount(labels + 1, minlength=count + 1)   # noise first
+        clustered = grid.cells[np.argsort(labels, kind="stable")[sizes[0]:]]
+        ends = np.cumsum(sizes[1:]).tolist()
+        starts = ([0] + ends)[:count]
+        lows = np.minimum.reduceat(clustered, starts)         # (C, 2)
+        local = clustered - np.repeat(lows, sizes[1:], axis=0)
+        shifts = grid.origin + grid.spec.resolution * lows
+        ellipses = [self._fit_cluster(local[start:end], shift)
+                    for start, end, shift in zip(starts, ends, shifts)]
 
         assignment = self.tracker.step(ellipses, dt)
         tracker_params = params.tracker
-        velocity_by_cluster = {
-            cid: assignment[j].velocity(tracker_params.min_velocity_age,
-                                        tracker_params.min_speed)
-            for j, cid in enumerate(cluster_ids) if j in assignment
-        }
-        velocity_grid = build_velocity_grid(grid, labels, velocity_by_cluster)
-        track_ids = [assignment[j].track_id if j in assignment else -1
-                     for j in range(len(ellipses))]
+        velocity_grid = build_velocity_grid(labels, [
+            assignment[j].velocity(tracker_params.min_velocity_age,
+                                   tracker_params.min_speed)
+            for j in range(count)])
         return PerceptionFrame(obstacle_grid=grid, velocity_grid=velocity_grid,
-                               points=points, labels=labels, ellipses=ellipses,
-                               cluster_ids=cluster_ids, track_ids=track_ids)
+                               points=grid.points, labels=labels,
+                               ellipses=ellipses, cluster_ids=list(range(count)),
+                               track_ids=[assignment[j].track_id
+                                          for j in range(count)])
 
-    def _fit_cluster(self, grid: ObstacleGridMap, cells: np.ndarray) -> Ellipse:
+    def _fit_cluster(self, local: np.ndarray, shift: np.ndarray) -> Ellipse:
         """MVEE of a cluster's cell centres, fitted once per cell pattern.
 
-        The fit is made in the pattern's own frame, with its lowest cell
-        index at the origin, and translated onto the grid, so a pattern gives
-        the same axes, angle and gap wherever it appears.
+        local holds the cluster's cells in row-major order, less their
+        lowest index; shift is the world position of that lowest cell's
+        corner. The fit is made in the pattern's own frame and translated
+        by shift, so a pattern gives the same axes, angle and gap wherever
+        it appears.
         """
-        res = grid.spec.resolution
-        low = cells.min(axis=0)
-        local = cells - low
         key = local.tobytes()     # cells come row-major, so one set, one key
         fit = self._fits.get(key)
         if fit is None:
             if len(self._fits) >= FIT_MEMO_CAPACITY:
                 self._fits.clear()
+            res = self.params.grid.resolution
             fit = fit_mvee(res * (local + 0.5), tolerance=self.params.mvee_tolerance)
             self._fits[key] = fit
-        return replace(fit, center=fit.center + (grid.origin + res * low))
+        return Ellipse(center=fit.center + shift, semi_major=fit.semi_major,
+                       semi_minor=fit.semi_minor, angle=fit.angle,
+                       fit_gap=fit.fit_gap)
 
     def debug_record(self, frame: PerceptionFrame, t: float) -> dict:
         """JSON-serializable dump of one frame for golden-file regression."""
@@ -111,7 +117,7 @@ class PerceptionPipeline:
             "t": round(t, 6),
             "origin": frame.obstacle_grid.origin.tolist(),
             "resolution": frame.obstacle_grid.spec.resolution,
-            "occupied_cells": frame.obstacle_grid.occupied_cells().tolist(),
+            "occupied_cells": frame.obstacle_grid.cells.tolist(),
             "labels": frame.labels.tolist(),
             "ellipses": [e.as_vector().tolist() for e in frame.ellipses],
             "fit_gaps": [e.fit_gap for e in frame.ellipses],

@@ -9,8 +9,7 @@ from gpnav import barrier
 from gpnav.barrier import (BarrierParams, EmptyDataset, build_datasets,
                            evaluate, evaluate_full, export_field)
 from gpnav.gp import GpModel, KernelParams, build_model
-from gpnav.perception.grid import (GridSpec, ObstacleGridMap, VelocityGridMap,
-                                   build_velocity_grid)
+from gpnav.perception.grid import GridSpec, ObstacleGridMap, build_velocity_grid
 
 KERNEL = KernelParams(length_scale=0.9, jitter=1e-8)
 EXACT_KERNEL = KernelParams(length_scale=0.9, jitter=0.0)
@@ -34,9 +33,19 @@ def grid_with_cells(cells, spec=GridSpec(width=20, height=20, resolution=0.2),
                            occupied=occupied)
 
 
+def grid_of_points(points, resolution=0.2):
+    """The grid whose occupied cell centres are the given lattice points."""
+    origin = points.min(axis=0) - 0.5 * resolution
+    cells = np.rint((points - origin) / resolution - 0.5).astype(int)
+    width, height = cells.max(axis=0) + 1
+    grid = grid_with_cells(cells, GridSpec(int(width), int(height), resolution),
+                           origin)
+    assert np.allclose(grid.points, points, atol=1e-9)
+    return grid
+
+
 def zero_velocity_grid(grid):
-    return VelocityGridMap(spec=grid.spec, origin=grid.origin,
-                           velocities=np.zeros((grid.spec.width, grid.spec.height, 2)))
+    return np.zeros((len(grid.cells), 2))
 
 
 class TestBuildDatasets:
@@ -57,7 +66,7 @@ class TestBuildDatasets:
         spec = GridSpec(width=12, height=10, resolution=0.2)
         cells = [(i, j) for i in range(12) for j in range(10)]
         grid = grid_with_cells(cells, spec=spec)
-        all_points = grid.occupied_points()
+        all_points = grid.points
         points, _ = build_datasets(grid, zero_velocity_grid(grid), cap=60)
         assert len(points) == 60
         # stride rule: every 2nd cell in row-major occupied order
@@ -66,7 +75,8 @@ class TestBuildDatasets:
     def test_velocities_stay_index_aligned(self):
         grid = grid_with_cells([(1, 1), (5, 5), (9, 9)])
         labels = np.array([0, 1, 2])
-        vgrid = build_velocity_grid(grid, labels, {1: np.array([0.5, -0.5])})
+        vgrid = build_velocity_grid(labels, [np.zeros(2), np.array([0.5, -0.5]),
+                                             np.zeros(2)])
         points, velocities = build_datasets(grid, vgrid)
         assert np.allclose(velocities[0], 0.0)
         assert np.allclose(velocities[1], [0.5, -0.5])
@@ -272,7 +282,7 @@ class TestBoundaryIdentity:
 
         checked_rays = 0
         for points, _ in pipeline_datasets(40):
-            labels = dbscan(points, 0.35, 2)
+            labels = dbscan(grid_of_points(points), 0.35, 2)
             if NOISE in labels or len(set(labels)) != 1:
                 continue
             model = build_model(points, params=KERNEL)

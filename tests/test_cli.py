@@ -65,6 +65,22 @@ def test_run_writes_outputs_and_exits_zero(quick_scenario, tmp_path, capsys):
     assert (out / "perception.jsonl").exists()
 
 
+def test_dump_field_without_obstacles_says_why(tmp_path, capsys):
+    # no frame sees an obstacle, so there is no barrier model to export
+    path = tmp_path / "open.yaml"
+    path.write_text(QUICK_SCENARIO.split("obstacles:")[0] + "obstacles: []\n")
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out-dir", str(out), "--dump-field"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["collision"] is False
+    assert (out / "trajectory.csv").exists()
+    assert not (out / "barrier_field.csv").exists()
+    assert captured.err.count("\n") == 1
+    assert "barrier_field.csv not written" in captured.err
+    assert "no frame" in captured.err
+
+
 def test_run_by_shipped_name(capsys):
     code = main(["run", "head_on", "--variant", "dlgp"])
     assert code == 0

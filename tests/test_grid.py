@@ -1,10 +1,11 @@
-"""Occupancy grid construction and the velocity broadcast."""
+"""Occupancy grid construction and the per-cell velocity lookup."""
 
 import numpy as np
 import pytest
 
-from gpnav.perception.grid import (GridSpec, build_velocity_grid, grid_origin,
-                                   update_obstacle_grid)
+from gpnav.perception.clustering import NOISE
+from gpnav.perception.grid import (GridSpec, ObstacleGridMap, build_velocity_grid,
+                                   grid_origin, update_obstacle_grid)
 from gpnav.simworld import LidarScan, RobotState
 
 SPEC = GridSpec(width=60, height=60, resolution=0.2)
@@ -30,10 +31,8 @@ class TestObstacleGrid:
     def test_single_hit_marks_exactly_one_cell(self):
         robot = RobotState(0.0, 0.0, 0.0)
         grid = update_obstacle_grid(scan_with_hits([(1.0, 1.0)], robot), robot, SPEC)
-        cells = grid.occupied_cells()
-        assert len(cells) == 1
-        ix, iy = cells[0]
-        center = grid.cell_center(ix, iy)
+        assert len(grid.cells) == 1 and len(grid.points) == 1
+        center = grid.points[0]
         assert np.max(np.abs(center - [1.0, 1.0])) <= SPEC.resolution / 2 + 1e-12
 
     def test_all_misses_leave_grid_empty(self):
@@ -45,13 +44,13 @@ class TestObstacleGrid:
         robot = RobotState(0.0, 0.0, 0.0)
         grid = update_obstacle_grid(
             scan_with_hits([(1.01, 1.01), (1.05, 1.04)], robot), robot, SPEC)
-        assert len(grid.occupied_cells()) == 1
+        assert len(grid.cells) == 1
 
     def test_grid_recenters_on_robot(self):
         far_robot = RobotState(40.0, -25.0, 0.0)
         grid = update_obstacle_grid(scan_with_hits([(41.0, -25.0)], far_robot),
                                     far_robot, SPEC)
-        assert len(grid.occupied_cells()) == 1
+        assert len(grid.cells) == 1
         # window center tracks the robot to within one cell
         window_center = grid.origin + SPEC.resolution * np.array([30.0, 30.0])
         assert np.max(np.abs(window_center - far_robot.position)) <= SPEC.resolution
@@ -63,8 +62,7 @@ class TestObstacleGrid:
         for x in np.linspace(-0.3, 0.3, 7):
             robot = RobotState(x, 0.05 * x, 0.0)
             grid = update_obstacle_grid(scan_with_hits([point], robot), robot, SPEC)
-            ix, iy = grid.occupied_cells()[0]
-            centers.append(grid.cell_center(ix, iy))
+            centers.append(grid.points[0])
         assert np.allclose(centers, centers[0], atol=1e-12)
 
     def test_endpoint_outside_window_dropped(self):
@@ -75,15 +73,25 @@ class TestObstacleGrid:
         assert not np.any(grid.occupied)
 
     def test_world_cell_roundtrip_error_bound(self):
+        # each hit lands in the cell whose centre lies within half a cell
         rng = np.random.default_rng(0)
         robot = RobotState(0.0, 0.0, 0.0)
-        grid = update_obstacle_grid(scan_with_hits([], robot), robot, SPEC)
         for _ in range(200):
             point = rng.uniform(-5.5, 5.5, 2)
-            cell = grid.world_to_cell(point)
-            assert cell is not None
-            center = grid.cell_center(*cell)
+            grid = update_obstacle_grid(scan_with_hits([point], robot), robot, SPEC)
+            assert len(grid.cells) == 1
+            center = grid.points[0]
             assert np.all(np.abs(center - point) <= SPEC.resolution / np.sqrt(2))
+            expected = grid.origin + SPEC.resolution * (grid.cells[0] + 0.5)
+            assert np.allclose(center, expected)
+
+    def test_cells_and_points_are_row_major_and_aligned(self):
+        occupied = np.zeros((SPEC.width, SPEC.height), dtype=bool)
+        occupied[[7, 2, 2, 40], [1, 9, 3, 0]] = True
+        grid = ObstacleGridMap(spec=SPEC, origin=np.array([1.0, -2.0]),
+                               occupied=occupied)
+        assert grid.cells.tolist() == [[2, 3], [2, 9], [7, 1], [40, 0]]
+        assert np.array_equal(grid.points, grid.origin + 0.2 * (grid.cells + 0.5))
 
 
 class TestVelocityGrid:
@@ -91,37 +99,40 @@ class TestVelocityGrid:
         robot = RobotState(0.0, 0.0, 0.0)
         grid = update_obstacle_grid(
             scan_with_hits([(1.0, 0.0), (1.2, 0.0)], robot), robot, SPEC)
-        labels = np.zeros(len(grid.occupied_cells()), dtype=int)
-        vgrid = build_velocity_grid(grid, labels, {0: np.zeros(2)})
-        assert not np.any(vgrid.velocities)
+        labels = np.zeros(len(grid.cells), dtype=int)
+        velocities = build_velocity_grid(labels, [np.zeros(2)])
+        assert velocities.shape == (len(grid.cells), 2)
+        assert not np.any(velocities)
 
     def test_cluster_velocity_broadcast(self):
         robot = RobotState(0.0, 0.0, 0.0)
         grid = update_obstacle_grid(
             scan_with_hits([(1.0, 0.0), (1.2, 0.0), (-2.0, 1.0)], robot),
             robot, SPEC)
-        cells = grid.occupied_cells()
-        points = grid.occupied_points()
-        labels = np.where(points[:, 0] > 0, 0, 1)
-        vgrid = build_velocity_grid(grid, labels, {0: np.array([1.0, 0.0])})
-        vels = vgrid.velocities_at(cells)
+        labels = np.where(grid.points[:, 0] > 0, 0, 1)
+        vels = build_velocity_grid(labels, [np.array([1.0, 0.0]), np.zeros(2)])
         assert np.allclose(vels[labels == 0], [1.0, 0.0])
         assert np.allclose(vels[labels == 1], 0.0)
 
     def test_unmapped_cluster_gets_zero(self):
+        # noise cells read the table's zero last row
         robot = RobotState(0.0, 0.0, 0.0)
-        grid = update_obstacle_grid(scan_with_hits([(1.0, 0.0)], robot), robot, SPEC)
-        vgrid = build_velocity_grid(grid, np.array([4]), {})
-        assert not np.any(vgrid.velocities)
+        grid = update_obstacle_grid(
+            scan_with_hits([(1.0, 0.0), (0.0, 2.0)], robot), robot, SPEC)
+        velocities = build_velocity_grid(np.array([NOISE, 0]), [np.array([0.3, 0.4])])
+        assert not np.any(velocities[0])
+        assert np.array_equal(velocities[1], [0.3, 0.4])
+        assert not np.any(build_velocity_grid(np.array([NOISE]), []))
+        assert build_velocity_grid(grid.cells[:0, 0], []).shape == (0, 2)
 
     def test_nonzero_velocity_only_on_occupied(self):
         robot = RobotState(0.0, 0.0, 0.0)
         grid = update_obstacle_grid(
             scan_with_hits([(1.0, 0.0), (0.0, 2.0)], robot), robot, SPEC)
         labels = np.zeros(2, dtype=int)
-        vgrid = build_velocity_grid(grid, labels, {0: np.array([0.3, 0.4])})
-        speeds = np.linalg.norm(vgrid.velocities, axis=2)
-        assert np.count_nonzero(speeds) == len(grid.occupied_cells())
+        velocities = build_velocity_grid(labels, [np.array([0.3, 0.4])])
+        speeds = np.linalg.norm(velocities, axis=1)
+        assert np.count_nonzero(speeds) == len(grid.cells)
 
 
 def test_grid_spec_validation():

@@ -64,6 +64,22 @@ def dense_step(state, cov, detection, dt, params):
     return state, 0.5 * (cov + cov.T)
 
 
+def block_step(state, cov, detection, dt, params):
+    """Reference: the (3, 2) state and shared 3x3 block filter in numpy."""
+    transition = np.array([[1.0, dt, 0.5 * dt * dt],
+                           [0.0, 1.0, dt],
+                           [0.0, 0.0, 1.0]])
+    state = transition @ state
+    cov = (transition @ cov @ transition.T
+           + np.diag([params.q_pos, params.q_vel, params.q_acc]))
+    if detection is None:
+        return state, cov
+    gain = cov[:, 0] / (cov[0, 0] + params.r_center)
+    state = state + np.outer(gain, detection.center - state[0])
+    cov = cov - np.outer(gain, cov[0])
+    return state, 0.5 * (cov + cov.T)
+
+
 class TestAssociate:
     def test_identical_lists_identity_matching(self):
         items = np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]])
@@ -205,6 +221,31 @@ class TestKalman:
                 reduced = np.kron(track.motion_cov, np.eye(2))
                 scale = np.max(np.abs(cov))
                 assert np.max(np.abs(reduced - cov)) <= 1e-9 * scale
+
+    def test_matches_numpy_block_filter(self):
+        # the float step and the numpy form round differently; over these
+        # noise densities (1e-6 to 1) each lies up to ~2e-12 from the same
+        # filter run in long double, so the bound leaves room above that
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            noise = 10.0 ** rng.uniform(-6.0, 0.0, 4)
+            params = TrackerParams(q_pos=noise[0], q_vel=noise[1], q_acc=noise[2],
+                                   r_center=noise[3])
+            center = np.zeros(2)
+            track = new_track(0, random_detection(rng, center), params)
+            state, cov = track.state.copy(), track.motion_cov.copy()
+            for _ in range(40):
+                dt = float(rng.uniform(0.01, 0.3))
+                center = center + rng.normal(0.0, 0.2, 2)
+                detection = (random_detection(rng, center)
+                             if rng.random() < 0.7 else None)
+                kalman_step(track, detection, dt, params)
+                state, cov = block_step(state, cov, detection, dt, params)
+                assert np.max(np.abs(track.state - state)
+                              / np.maximum(np.abs(state), 1.0)) <= 1e-10
+                assert (np.max(np.abs(track.motion_cov - cov))
+                        <= 1e-10 * np.max(np.abs(cov)))
+                assert np.array_equal(track.motion_cov, track.motion_cov.T)
 
     def test_dt_validation(self):
         track = new_track(0, circle(0.0, 0.0), PARAMS)

@@ -9,6 +9,7 @@ the relative-degree problem of steering through omega directly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -95,11 +96,12 @@ def nominal_goal(position, goal, u_max: float, deadband: float = 0.05) -> np.nda
     """Unit-direction go-to-goal command scaled to u_max; zero inside the deadband."""
     if u_max <= 0.0:
         raise ValueError("u_max must be > 0")
-    offset = np.asarray(goal, dtype=float) - np.asarray(position, dtype=float)
-    distance = float(np.linalg.norm(offset))
+    dx = float(goal[0]) - float(position[0])
+    dy = float(goal[1]) - float(position[1])
+    distance = math.hypot(dx, dy)
     if distance <= deadband:
         return np.zeros(2)
-    return u_max * offset / distance
+    return np.array([u_max * dx / distance, u_max * dy / distance])
 
 
 def build_constraint(evaluation: BarrierEvaluation,
@@ -112,7 +114,7 @@ def build_constraint(evaluation: BarrierEvaluation,
     """
     a = np.asarray(evaluation.grad_state[:2], dtype=float)
     b = float(evaluation.time_derivative + alpha(evaluation.value))
-    feasible = bool(np.linalg.norm(a) > 1e-9 or b >= 0.0)
+    feasible = bool(math.hypot(a[0], a[1]) > 1e-9 or b >= 0.0)
     return SafetyConstraint(a=a, b=b, feasible=feasible)
 
 
@@ -139,17 +141,17 @@ def lead_to_unicycle(u_lead, theta: float, lead_offset: float,
     if lead_offset <= 0.0:
         raise ValueError("lead_offset must be > 0")
     ux, uy = float(u_lead[0]), float(u_lead[1])
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = math.cos(theta), math.sin(theta)
     v = c * ux + s * uy
     omega = (-s * ux + c * uy) / lead_offset
-    return ControlInput(v=float(np.clip(v, -v_max, v_max)),
-                        omega=float(np.clip(omega, -omega_max, omega_max)))
+    return ControlInput(v=min(max(v, -v_max), v_max),
+                        omega=min(max(omega, -omega_max), omega_max))
 
 
 def lead_point(robot: RobotState, lead_offset: float) -> np.ndarray:
     """Virtual leading point ahead of the robot along its heading."""
-    return robot.position + lead_offset * np.array([np.cos(robot.theta),
-                                                    np.sin(robot.theta)])
+    return np.array([robot.x + lead_offset * math.cos(robot.theta),
+                     robot.y + lead_offset * math.sin(robot.theta)])
 
 
 def control_step(robot: RobotState, model: GpModel | None, velocities,
@@ -162,7 +164,7 @@ def control_step(robot: RobotState, model: GpModel | None, velocities,
     constraint is infeasible.
     """
     diag = ControlDiagnostics()
-    u_nom = nominal_goal(robot.position, goal, params.u_max, params.goal_deadband)
+    u_nom = nominal_goal((robot.x, robot.y), goal, params.u_max, params.goal_deadband)
 
     if model is None or model.size == 0:
         diag.fallback = "empty"

@@ -1,9 +1,10 @@
 """Zero-mean Gaussian process regression with a squared-exponential kernel.
 
-Provides model construction through a Cholesky factorization plus one
-vectorised query pass that returns the posterior mean, its spatial gradient
-and its rate of change as the training points move, which is all the barrier
-synthesis needs, plus a separable pass for the mean over a rectangular grid.
+Provides model construction through a Cholesky factorization (LAPACK's
+dpotrf/dpotrs, called directly) plus one vectorised query pass that returns
+the posterior mean, its spatial gradient and its rate of change as the
+training points move, which is all the barrier synthesis needs, plus a
+separable pass for the mean over a rectangular grid.
 Queries are pure and read-only on an immutable model, so they are safe to
 evaluate concurrently.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class FactorizationFailure(Exception):
@@ -45,6 +46,13 @@ class KernelParams:
             raise ValueError("jitter must be >= 0")
 
 
+# b_i M b_j^T = (d_i - d_j)^T (v_i - v_j) for the rows b_i = [1, v_i, d_i, d_i.v_i]:
+# 1 pairs with d.v and v with -d, in both orders.
+_RATE_PAIRING = np.zeros((6, 6))
+_RATE_PAIRING[[0, 5], [5, 0]] = 1.0
+_RATE_PAIRING[[1, 2, 3, 4], [3, 4, 1, 2]] = -1.0
+
+
 def _se_kernel(diff: np.ndarray, params: KernelParams) -> np.ndarray:
     """SE kernel exp(-||d||^2 / (2 l^2)) over the last axis of point differences."""
     sq = np.einsum("...k,...k->...", diff, diff)
@@ -58,12 +66,13 @@ class GpModel:
     chol_lower is the lower-triangular factor of cov + jitter*I and alpha
     solves (cov + jitter*I) alpha = labels, so every formula written with an
     explicit matrix inverse is evaluated through triangular solves instead.
+    Raw LAPACK does not reject NaN or inf as SciPy's cho_factor/cho_solve
+    did, so build_model and mean_terms check that their inputs are finite.
     """
 
     points: np.ndarray      # (N, 2) training inputs, global frame, meters
     labels: np.ndarray      # (N,)
     params: KernelParams
-    diffs: np.ndarray       # (N, N, 2) pairwise differences d_i - d_j
     cov: np.ndarray         # (N, N) kernel matrix, jitter excluded
     chol_lower: np.ndarray  # (N, N) lower factor of cov + jitter*I
     alpha: np.ndarray       # (N,) weight vector
@@ -74,39 +83,43 @@ class GpModel:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (cov + jitter*I) x = rhs via the stored factor."""
-        return cho_solve((self.chol_lower, True), rhs)
+        return dpotrs(self.chol_lower, rhs, lower=1)[0]
 
 
 def build_model(points, labels=None, params: KernelParams | None = None) -> GpModel:
     """Factorize the covariance of the point set and precompute the weights.
 
     labels default to all ones. Raises FactorizationFailure when the jittered
-    covariance is not positive definite (duplicate points with zero jitter).
+    covariance is not positive definite (duplicate points with zero jitter),
+    and ValueError on non-finite points or labels.
     """
     params = params or KernelParams()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     if n < 1 or pts.shape[1] != 2:
         raise ValueError("points must be a non-empty (N, 2) array")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if labels is None:
         y = np.ones(n)
     else:
         y = np.asarray(labels, dtype=float).reshape(-1)
         if y.shape[0] != n:
             raise ValueError("labels length must match point count")
+        if not np.isfinite(y).all():
+            raise ValueError("labels must be finite")
 
     diffs = pts[:, None, :] - pts[None, :, :]
     cov = _se_kernel(diffs, params)
-    try:
-        factor, _ = cho_factor(cov + params.jitter * np.eye(n), lower=True)
-    except np.linalg.LinAlgError as exc:
+    jittered = cov.copy()
+    jittered.flat[::n + 1] += params.jitter
+    chol_lower, info = dpotrf(jittered, lower=1, clean=1)
+    if info > 0:
         raise FactorizationFailure(
             f"covariance of {n} points is not positive definite "
-            "(duplicate or near-duplicate points; downsample the input)"
-        ) from exc
-    chol_lower = np.tril(factor)
-    alpha = cho_solve((chol_lower, True), y)
-    return GpModel(points=pts, labels=y, params=params, diffs=diffs, cov=cov,
+            "(duplicate or near-duplicate points; downsample the input)")
+    alpha = dpotrs(chol_lower, y, lower=1)[0]
+    return GpModel(points=pts, labels=y, params=params, cov=cov,
                    chol_lower=chol_lower, alpha=alpha)
 
 
@@ -125,7 +138,19 @@ def mean_terms(model: GpModel, queries, velocities=None
     kdot_qi = (1/l^2) k_qi (q - d_i)^T v_i and
     Kdot_ij = -(1/l^2) K_ij (d_i - d_j)^T (v_i - v_j); any rigid translation
     of the point set makes Kdot exactly zero. dmu_dt is None when velocities
-    is None, which skips the beta solve.
+    is None, which skips the beta solve; non-finite velocities raise
+    ValueError.
+
+    Kdot alpha is formed without (N, N) pairwise arrays. With the rows
+    b_i = [1, v_i, d_i, d_i.v_i] and the constant pairing matrix M of
+    _RATE_PAIRING, (d_i - d_j)^T (v_i - v_j) = b_i M b_j^T, so
+
+      (Kdot alpha)_i = -(1/l^2) b_i M P_i^T,  P = cov (alpha * b),
+
+    one (N, N) x (N, 6) product and row-wise dot products. The points are
+    centred at their mean first: the differences do not change, and the
+    terms stay the size of the point spread rather than the distance to the
+    origin, so they cancel without losing digits far from it.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     l2 = model.params.length_scale**2
@@ -140,9 +165,17 @@ def mean_terms(model: GpModel, queries, velocities=None
     if v.shape != model.points.shape:
         raise ValueError(f"velocities shape {v.shape} does not match "
                          f"training points {model.points.shape}")
-    dvel = v[:, None, :] - v[None, :, :]
-    kdot_mat = -(model.cov * np.einsum("ijk,ijk->ij", model.diffs, dvel)) / l2
-    beta = model.solve(kdot_mat @ model.alpha)
+    if not np.isfinite(v).all():
+        raise ValueError("velocities must be finite")
+    d = model.points - model.points.sum(axis=0) / model.size
+    rows = np.empty((model.size, 6))
+    rows[:, 0] = 1.0
+    rows[:, 1:3] = v
+    rows[:, 3:5] = d
+    rows[:, 5] = np.einsum("ik,ik->i", d, v)
+    p = model.cov @ (rows * model.alpha[:, None])
+    kdot_alpha = -np.einsum("ij,ij->i", rows @ _RATE_PAIRING, p) / l2
+    beta = model.solve(kdot_alpha)
     kdot = k * np.einsum("qik,ik->qi", diff, v) / l2
     dmu_dt = kdot @ model.alpha - k @ beta
     return mu, dmu_dq, dmu_dt

@@ -59,6 +59,9 @@ class Obstacle:
     spawn: np.ndarray
     motion: MotionSpec = field(default_factory=MotionSpec)
     center: np.ndarray | None = None
+    # the frozen motion's velocity and unit sinusoid axis, built once
+    _velocity: np.ndarray = field(init=False, repr=False, compare=False)
+    _unit_axis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
@@ -66,16 +69,20 @@ class Obstacle:
         self.spawn = np.asarray(self.spawn, dtype=float)
         if self.center is None:
             self.center = self.spawn.copy()
+        self._velocity = np.asarray(self.motion.velocity)
+        self._unit_axis = None
+        if self.motion.kind == "sinusoid":
+            axis = np.asarray(self.motion.axis, dtype=float)
+            self._unit_axis = axis / np.linalg.norm(axis)
 
     def advance(self, t_next: float, dt: float) -> None:
         if self.motion.kind == "velocity":
-            self.center = self.center + np.asarray(self.motion.velocity) * dt
+            self.center = self.center + self._velocity * dt
         elif self.motion.kind == "sinusoid":
-            axis = np.asarray(self.motion.axis, dtype=float)
-            axis = axis / np.linalg.norm(axis)
             phase = 2.0 * np.pi * t_next / self.motion.period
             # closed-form position so long episodes accumulate no drift
-            self.center = self.spawn + axis * self.motion.amplitude * np.sin(phase)
+            self.center = (self.spawn
+                           + self._unit_axis * self.motion.amplitude * np.sin(phase))
 
 
 class World:

@@ -351,8 +351,8 @@ def test_export_field_bytes_follow_csv_writer(tmp_path):
 @pytest.mark.parametrize("model", [
     None,
     GpModel(points=np.empty((0, 2)), labels=np.empty(0), params=KERNEL,
-            diffs=np.empty((0, 0, 2)), cov=np.empty((0, 0)),
-            chol_lower=np.empty((0, 0)), alpha=np.empty(0)),
+            cov=np.empty((0, 0)), chol_lower=np.empty((0, 0)),
+            alpha=np.empty(0)),
 ], ids=["none", "size-0"])
 def test_export_field_refuses_an_empty_model(tmp_path, model):
     path = tmp_path / "field.csv"

@@ -145,6 +145,16 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model([[0.0, 0.0]], labels=[1.0, 1.0], params=PARAMS)
 
+    @pytest.mark.parametrize("points, labels", [
+        ([[0.0, 0.0], [np.nan, 1.0]], None),
+        ([[0.0, 0.0], [1.0, np.inf]], None),
+        ([[0.0, 0.0], [1.0, 1.0]], [1.0, np.nan]),
+        ([[0.0, 0.0], [1.0, 1.0]], [-np.inf, 1.0]),
+    ], ids=["nan-point", "inf-point", "nan-label", "inf-label"])
+    def test_non_finite_input_is_refused(self, points, labels):
+        with pytest.raises(ValueError, match="finite"):
+            build_model(points, labels=labels, params=PARAMS)
+
 
 class TestPredictiveMean:
     def test_training_point_single(self):
@@ -279,6 +289,12 @@ class TestTimeDerivatives:
         with pytest.raises(ValueError):
             mean_terms(model, (0.0, 0.0), [[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_velocity_is_refused(self, bad):
+        model = build_model([[0.0, 0.0], [0.5, 0.2]], params=PARAMS)
+        with pytest.raises(ValueError, match="finite"):
+            mean_terms(model, (0.3, 0.0), [[1.0, 0.0], [0.0, bad]])
+
 
 def test_mean_time_rate_matches_finite_difference():
     # d/dt mu(q, D + V t) at t=0
@@ -296,27 +312,39 @@ def test_mean_time_rate_matches_finite_difference():
         assert abs(analytic - numeric) / max(abs(numeric), 1e-8) <= 1e-5
 
 
+def check_against_dense_forms(n, shift=(0.0, 0.0)):
+    # point sets as bench_barrier draws them (0.2 m minimum spacing over a
+    # 10 m square), moved by shift; all queries of a model go through one
+    # mean_terms call
+    rng = np.random.default_rng(300 + n)
+
+    def rel(value, ref):
+        return np.max(np.abs(value - ref) / np.maximum(np.abs(ref), 1e-12))
+
+    for _ in range(10):
+        points, vel = random_dataset(rng, n)
+        model = build_model(points + shift, params=PARAMS)
+        queries = rng.uniform(-6, 6, (20, 2)) + shift
+        mu, grad, rate = mean_terms(model, queries, vel)
+        assert mu.shape == (20,) and grad.shape == (20, 2) and rate.shape == (20,)
+        for i, query in enumerate(queries):
+            ref_mu, ref_grad, ref_rate = dense_terms(model, query, vel)
+            assert rel(mu[i], ref_mu) <= 1e-9
+            assert rel(grad[i], ref_grad) <= 1e-9
+            assert rel(rate[i], ref_rate) <= 1e-9
+
+
 class TestMeanTerms:
     @pytest.mark.parametrize("n", [1, 5, 30, 60])
     def test_matches_dense_forms(self, n):
-        # point sets as bench_barrier draws them (0.2 m minimum spacing over a
-        # 10 m square); all queries of a model go through one mean_terms call
-        rng = np.random.default_rng(300 + n)
+        check_against_dense_forms(n)
 
-        def rel(value, ref):
-            return np.max(np.abs(value - ref) / np.maximum(np.abs(ref), 1e-12))
-
-        for _ in range(10):
-            points, vel = random_dataset(rng, n)
-            model = build_model(points, params=PARAMS)
-            queries = rng.uniform(-6, 6, (20, 2))
-            mu, grad, rate = mean_terms(model, queries, vel)
-            assert mu.shape == (20,) and grad.shape == (20, 2) and rate.shape == (20,)
-            for i, query in enumerate(queries):
-                ref_mu, ref_grad, ref_rate = dense_terms(model, query, vel)
-                assert rel(mu[i], ref_mu) <= 1e-9
-                assert rel(grad[i], ref_grad) <= 1e-9
-                assert rel(rate[i], ref_rate) <= 1e-9
+    @pytest.mark.parametrize("n", [1, 5, 30, 60])
+    def test_matches_dense_forms_far_from_origin(self, n):
+        # the rate expansion centres the points at their mean; on raw
+        # coordinates 1.4 km out it loses 1.7e-9 relative in dmu/dt at
+        # N = 60, past the bound
+        check_against_dense_forms(n, shift=(1e3, -1e3))
 
     def test_without_velocities_skips_only_the_rate(self):
         rng = np.random.default_rng(13)

@@ -148,6 +148,81 @@ def model_from_datasets(points: np.ndarray, kernel: KernelParams) -> GpModel | N
     return build_model(points, params=kernel)
 
 
+# |h| below this keeps |h * 1e9| < 2**52, where every half-way point between
+# two integers is a double, so rounding the product cannot step across one
+_FIXED9_LIMIT = 2.0**52 / 1e9
+_SPLITTER = 134217729.0                    # 2**27 + 1, Dekker's splitter
+# column k holds the three ASCII digits of k, zero-padded
+_DIGITS3 = np.array([f"{k:03d}" for k in range(1000)], dtype="S3").view(
+    np.uint8).reshape(1000, 3).T.copy()
+
+
+def _fixed9_columns(values: np.ndarray) -> np.ndarray:
+    """f"{h:.9f}" of each value as a column of zero-padded ASCII bytes.
+
+    values is flat; the result is a (width, len(values)) uint8 array, and
+    dropping the zero bytes of column i leaves the text of values[i]. Valid
+    for finite |h| < _FIXED9_LIMIT only. The product h * 1e9 is split into
+    its double p and the exact error e (Dekker; 1e9 has 21 significant bits,
+    so both partial products are exact). rint(p) is the correctly rounded
+    integer unless p is itself half-way, where the sign of e picks the side;
+    only a zero e is a true tie, left to rint's round-half-even like
+    Python's own formatting.
+    """
+    scaled = values * 1e9
+    big = values * _SPLITTER
+    high = big - (big - values)
+    error = (high * 1e9 - scaled) + (values - high) * 1e9
+    lower = np.floor(scaled)
+    broken_tie = (scaled - lower == 0.5) & (error != 0.0)
+    units = np.where(broken_tie, lower + (error > 0.0), np.rint(scaled))
+    whole, fraction = np.divmod(np.abs(units).astype(np.int64), 10**9)
+
+    width = len(str(int(whole.max(initial=0))))
+    out = np.empty((width + 11, len(values)), dtype=np.uint8)
+    out[0] = np.signbit(values) * np.uint8(ord("-"))
+    for row, unit in enumerate(10 ** np.arange(width - 1, -1, -1), start=1):
+        digit = whole // unit % 10 + ord("0")
+        # a leading zero of the integer part is dropped, its units digit never
+        out[row] = digit if unit == 1 else np.where(whole >= unit, digit, 0)
+    out[width + 1] = ord(".")
+    upper, low = np.divmod(fraction, 1000)
+    groups = (*np.divmod(upper, 1000), low)
+    for row, group in zip(range(width + 2, width + 11, 3), groups):
+        np.take(_DIGITS3, group, axis=1, out=out[row:row + 3])
+    return out
+
+
+def _padded_bytes(texts: list[str]) -> np.ndarray:
+    """ASCII texts as the columns of a uint8 array, zero-padded to the longest."""
+    table = np.array(texts, dtype="S")
+    return table.view(np.uint8).reshape(len(texts), table.itemsize).T
+
+
+def _field_rows(x_text: list[str], y_text: list[str], values: np.ndarray) -> bytes:
+    """The rows x_text[i] + y_text[j] + f"{values[i, j]:.9f}" + "\\r\\n", x-major.
+
+    A window of finite |h| < _FIXED9_LIMIT is laid out in one array pass: a
+    column of zero-padded bytes per row of the file, read row-major and
+    stripped of its zero bytes. A window holding an inf, a nan or a larger
+    value formats one f-string per row, with the same bytes either way.
+    """
+    if not np.all(np.abs(values) < _FIXED9_LIMIT):     # true on nan and inf
+        return "".join(f"{xc}{yc}{h:.9f}\r\n"
+                       for xc, column in zip(x_text, values.tolist())
+                       for yc, h in zip(y_text, column)).encode()
+    x_bytes, y_bytes = _padded_bytes(x_text), _padded_bytes(y_text)
+    h_bytes = _fixed9_columns(values.ravel())
+    x_end = len(x_bytes)
+    y_end = x_end + len(y_bytes)
+    table = np.empty((y_end + len(h_bytes) + 2,) + values.shape, dtype=np.uint8)
+    table[:x_end] = x_bytes[:, :, None]
+    table[x_end:y_end] = y_bytes[:, None, :]
+    table[y_end:-2] = h_bytes.reshape(table[y_end:-2].shape)
+    table[-2], table[-1] = ord("\r"), ord("\n")
+    return table.reshape(len(table), -1).T.tobytes().replace(b"\0", b"")
+
+
 def export_field(model: GpModel, params: BarrierParams, path,
                  x_range: tuple[float, float], y_range: tuple[float, float],
                  resolution: float = 0.1) -> int:
@@ -156,8 +231,9 @@ def export_field(model: GpModel, params: BarrierParams, path,
     Returns the number of rows written. Intended for external surface or
     contour plotting of the barrier landscape. Rows run x-major (y fastest),
     under the header x,y,h, and end in \\r\\n like csv.writer's default
-    dialect. The mean comes from one separable gp.grid_mean pass and each
-    coordinate is formatted once, so a row costs one f-string.
+    dialect. The mean comes from one separable gp.grid_mean pass, each
+    coordinate is formatted once and h is formatted as f"{h:.9f}" in one
+    array pass (_field_rows).
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be > 0")
@@ -166,9 +242,6 @@ def export_field(model: GpModel, params: BarrierParams, path,
     values = _log_value(grid_mean(_require_points(model), xs, ys), params)
     x_text = [f"{x:.6f}" for x in xs.tolist()]
     y_text = [f",{y:.6f}," for y in ys.tolist()]
-    rows = [f"{xc}{yc}{h:.9f}\r\n"
-            for xc, column in zip(x_text, values.tolist())
-            for yc, h in zip(y_text, column)]
-    with open(path, "w", newline="") as handle:
-        handle.write("x,y,h\r\n" + "".join(rows))
-    return len(rows)
+    with open(path, "wb") as handle:
+        handle.write(b"x,y,h\r\n" + _field_rows(x_text, y_text, values))
+    return values.size

@@ -127,8 +127,10 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
     max_steps = int(round(cfg.max_time / cfg.dt))
     for step in range(max_steps + 1):
         t = step * cfg.dt
-        clearance = world.clearance(robot.position)
-        goal_distance = float(np.linalg.norm(goal - robot.position))
+        position = robot.position
+        clearance = world.clearance(position)
+        to_goal = goal - position
+        goal_distance = math.sqrt(np.dot(to_goal, to_goal))   # rounds as np.linalg.norm
 
         scan = cast_lidar(world, robot, cfg.sensor, rng)
         frame = pipeline.process(scan, robot, cfg.dt)

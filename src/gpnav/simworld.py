@@ -3,6 +3,7 @@ and a planar ray-cast range sensor."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +103,14 @@ class World:
 
     def clearance(self, point) -> float:
         """Distance from a point to the nearest obstacle boundary (inf if none)."""
-        p = np.asarray(point, dtype=float)
-        if not self.obstacles:
+        obstacles = self.obstacles
+        if not obstacles:
             return float("inf")
-        return min(float(np.linalg.norm(p - ob.center)) - ob.radius
-                   for ob in self.obstacles)
+        offsets = (np.asarray(point, dtype=float)
+                   - np.array([ob.center for ob in obstacles]))
+        # (K, 1, 2) @ (K, 2, 1) rounds as np.linalg.norm's own dot product does
+        squared = np.matmul(offsets[:, None, :], offsets[:, :, None]).ravel().tolist()
+        return min(math.sqrt(sq) - ob.radius for sq, ob in zip(squared, obstacles))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpnav import barrier
 from gpnav.barrier import (BarrierParams, EmptyDataset, build_datasets,
                            evaluate, evaluate_full, export_field)
-from gpnav.gp import GpModel, KernelParams, build_model
+from gpnav.gp import GpModel, KernelParams, build_model, grid_mean
 from gpnav.perception.grid import GridSpec, ObstacleGridMap, build_velocity_grid
 
 KERNEL = KernelParams(length_scale=0.9, jitter=1e-8)
@@ -346,6 +348,136 @@ def test_export_field_bytes_follow_csv_writer(tmp_path):
     # every row ends in \r\n: no bare \n or \r is left inside a line
     assert all(b"\n" not in line and b"\r" not in line for line in lines)
     assert all(len(line.split(b",")) == 3 for line in lines[:-1])
+
+
+def per_row_export(model, params, path, x_range, y_range, resolution=0.1):
+    """export_field with one f-string per row: the oracle for its array pass."""
+    xs = np.arange(x_range[0], x_range[1] + 0.5 * resolution, resolution)
+    ys = np.arange(y_range[0], y_range[1] + 0.5 * resolution, resolution)
+    values = barrier._log_value(grid_mean(model, xs, ys), params)
+    x_text = [f"{x:.6f}" for x in xs.tolist()]
+    y_text = [f",{y:.6f}," for y in ys.tolist()]
+    rows = [f"{xc}{yc}{h:.9f}\r\n"
+            for xc, column in zip(x_text, values.tolist())
+            for yc, h in zip(y_text, column)]
+    with open(path, "w", newline="") as handle:
+        handle.write("x,y,h\r\n" + "".join(rows))
+    return len(rows)
+
+
+def assert_export_matches_per_row(tmp_path, model, params, x_range, y_range,
+                                  resolution=0.1):
+    rows = export_field(model, params, tmp_path / "field.csv", x_range, y_range,
+                        resolution)
+    expected = per_row_export(model, params, tmp_path / "oracle.csv", x_range,
+                              y_range, resolution)
+    data = (tmp_path / "field.csv").read_bytes()
+    assert rows == expected
+    assert data == (tmp_path / "oracle.csv").read_bytes()
+    return data
+
+
+class TestExportFieldBytes:
+    """export_field byte for byte against the per-row f-string oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        model = build_model(rng.uniform(-1.5, 1.5, (int(rng.integers(1, 40)), 2)),
+                            params=KERNEL)
+        params = BarrierParams(scale=float(rng.choice([0.01, 1.0, 250.0])))
+        assert_export_matches_per_row(tmp_path, model, params, (-2.5, 2.0),
+                                      (-2.0, 3.5))
+
+    def test_empty_window_writes_the_header_only(self, tmp_path):
+        model = build_model([[0.0, 0.0]], params=KERNEL)
+        for x_range, y_range in [((1.0, 0.0), (-1.0, 1.0)), ((-1.0, 1.0), (1.0, 0.0))]:
+            data = assert_export_matches_per_row(tmp_path, model, PARAMS,
+                                                 x_range, y_range)
+            assert data == b"x,y,h\r\n"
+
+    def test_one_point_window(self, tmp_path):
+        model = build_model([[0.3, -0.2]], params=KERNEL)
+        data = assert_export_matches_per_row(tmp_path, model, PARAMS,
+                                             (0.5, 0.5), (0.25, 0.25))
+        assert data.count(b"\r\n") == 2
+
+    def test_large_scale_takes_the_per_row_fallback(self, tmp_path):
+        # far from the data mu hits mu_floor and h = 27.6 * scale > 4.5e6
+        model = build_model([[0.0, 0.0]], params=KERNEL)
+        params = BarrierParams(scale=1e7)
+        data = assert_export_matches_per_row(tmp_path, model, params,
+                                             (-20.0, 20.0), (-1.0, 1.0), 0.5)
+        h = [float(line.split(b",")[2]) for line in data.split(b"\r\n")[1:-1]]
+        assert max(map(abs, h)) >= barrier._FIXED9_LIMIT
+        assert min(map(abs, h)) < barrier._FIXED9_LIMIT
+
+
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=150)
+LIMIT = barrier._FIXED9_LIMIT
+# odd multiples of 2**-10 have ten decimals ending in 5: exact ties at nine
+TIES = st.integers(-2**31, 2**31 - 1).map(lambda k: (2 * k + 1) / 1024)
+
+
+def array_pass_text(values):
+    """f"{h:.9f}" of each value, from the array pass alone."""
+    columns = barrier._fixed9_columns(np.asarray(values, dtype=float))
+    return [bytes(column[column != 0]).decode() for column in columns.T]
+
+
+def field_rows_text(values):
+    """The h column of _field_rows, whichever path it takes, one row per value."""
+    values = np.asarray(values, dtype=float)
+    text = barrier._field_rows([""], [""] * len(values), values[None, :])
+    return text.decode().split("\r\n")[:-1]
+
+
+class TestFixed9Format:
+    """The array pass against Python's own f"{h:.9f}"."""
+
+    @DERANDOMIZED
+    @given(st.lists(TIES, min_size=1, max_size=40))
+    def test_exact_ties_round_half_even(self, values):
+        assert array_pass_text(values) == [f"{h:.9f}" for h in values]
+
+    @DERANDOMIZED
+    @given(st.lists(TIES, min_size=1, max_size=40))
+    def test_doubles_beside_the_ties(self, ties):
+        values = np.concatenate([np.nextafter(ties, -np.inf),
+                                 np.nextafter(ties, np.inf)]).tolist()
+        assert array_pass_text(values) == [f"{h:.9f}" for h in values]
+
+    @DERANDOMIZED
+    @given(st.lists(st.floats(min_value=-5e-10, max_value=-0.0), min_size=1,
+                    max_size=40))
+    @example([-0.0, -5e-10, np.nextafter(-5e-10, 0.0), -1e-300, -5e-324])
+    def test_negatives_that_round_to_zero_keep_their_sign(self, values):
+        assert array_pass_text(values) == [f"{h:.9f}" for h in values]
+
+    @DERANDOMIZED
+    @given(st.lists(st.floats(min_value=-1e7, max_value=1e7), min_size=1,
+                    max_size=40))
+    def test_any_finite_value(self, values):
+        assert field_rows_text(values) == [f"{h:.9f}" for h in values]
+
+    @DERANDOMIZED
+    @given(st.floats(min_value=LIMIT / 2, max_value=2 * LIMIT), st.booleans())
+    @example(np.nextafter(LIMIT, 0.0), False)
+    @example(LIMIT, False)
+    @example(np.nextafter(LIMIT, np.inf), True)
+    def test_both_sides_of_the_exact_range(self, magnitude, negative):
+        value = -magnitude if negative else magnitude
+        assert field_rows_text([value]) == [f"{value:.9f}"]
+        if magnitude < LIMIT:
+            assert array_pass_text([value]) == [f"{value:.9f}"]
+
+    @DERANDOMIZED
+    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=20),
+           st.sampled_from([np.inf, -np.inf, np.nan]), st.integers(0, 20))
+    def test_non_finite_values_take_the_per_row_path(self, values, bad, at):
+        values.insert(min(at, len(values)), bad)
+        assert field_rows_text(values) == [f"{h:.9f}" for h in values]
 
 
 @pytest.mark.parametrize("model", [

@@ -73,6 +73,19 @@ class TestObstacles:
         assert world.clearance((2.0, 0.0)) == pytest.approx(1.5)
         assert World([]).clearance((0.0, 0.0)) == np.inf
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clearance_matches_per_obstacle_norm(self, seed):
+        """Bit for bit np.linalg.norm taken one obstacle at a time."""
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            world = World([Obstacle(f"o{i}", rng.uniform(0.05, 1.5),
+                                    rng.uniform(-20.0, 20.0, 2))
+                           for i in range(int(rng.integers(1, 12)))])
+            point = rng.uniform(-20.0, 20.0, 2) * rng.choice([1e-3, 1.0, 1e3])
+            reference = min(float(np.linalg.norm(point - ob.center)) - ob.radius
+                            for ob in world.obstacles)
+            assert world.clearance(point) == reference
+
     def test_motion_validation(self):
         with pytest.raises(ValueError):
             MotionSpec(kind="teleport")

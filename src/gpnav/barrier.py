@@ -41,10 +41,9 @@ class BarrierParams:
     linear_prior: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0:
-            raise ValueError("scale must be > 0")
-        if self.margin_shift <= 0.0:
-            raise ValueError("margin_shift must be > 0")
+        for name in ("scale", "margin_shift"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
         if not 0.0 < self.mu_floor <= 1e-9:
             raise ValueError("mu_floor must be in (0, 1e-9]")
 

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario episode")
     run.add_argument("scenario", help="scenario file path or shipped name")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=_nonnegative_int, default=None)
     run.add_argument("--out-dir", default=None)
     run.add_argument("--variant", choices=VARIANTS, default=None)
     run.add_argument("--dump-field", action="store_true",
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("scenario")
     cmp_parser.add_argument("--variants", required=True,
                             help="comma-separated variant names")
-    cmp_parser.add_argument("--seed", type=int, default=None)
+    cmp_parser.add_argument("--seed", type=_nonnegative_int, default=None)
     cmp_parser.add_argument("--out-dir", default=None)
     cmp_parser.set_defaults(handler=_cmd_compare)
 
@@ -66,14 +66,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"{value} is not >= {minimum}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _sizes(text: str) -> list[int]:

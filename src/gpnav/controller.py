@@ -72,12 +72,14 @@ class ControllerParams:
     variant: str = "dlgp"
 
     def __post_init__(self) -> None:
-        if self.lead_offset <= 0.0:
-            raise ValueError("lead_offset must be > 0")
-        if min(self.u_max, self.v_max, self.omega_max) <= 0.0:
-            raise ValueError("u_max, v_max and omega_max must be > 0")
+        for name in ("alpha_slope", "lead_offset", "u_max", "v_max", "omega_max"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.goal_deadband >= 0.0:
+            raise ValueError("goal_deadband must be >= 0")
         if self.variant not in barrier.VARIANTS:
-            raise ValueError(f"unknown controller variant {self.variant!r}")
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"expected one of {list(barrier.VARIANTS)}")
 
 
 @dataclass

@@ -40,9 +40,9 @@ class KernelParams:
     jitter: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.length_scale <= 0.0:
+        if not self.length_scale > 0.0:
             raise ValueError("length_scale must be > 0")
-        if self.jitter < 0.0:
+        if not self.jitter >= 0.0:
             raise ValueError("jitter must be >= 0")
 
 

@@ -16,10 +16,9 @@ class GridSpec:
     resolution: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("grid width and height must be > 0")
-        if self.resolution <= 0.0:
-            raise ValueError("grid resolution must be > 0")
+        for name in ("width", "height", "resolution"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"grid {name} must be > 0")
 
 
 def grid_origin(robot_position, spec: GridSpec) -> np.ndarray:

@@ -30,12 +30,9 @@ class PerceptionParams:
     dataset_cap: int = 60
 
     def __post_init__(self) -> None:
-        if self.eps <= 0.0:
-            raise ValueError("eps must be > 0")
-        if self.min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
-        if self.dataset_cap < 1:
-            raise ValueError("dataset_cap must be >= 1")
+        for name in ("eps", "mvee_tolerance", "min_pts", "dataset_cap"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass

@@ -35,10 +35,12 @@ class TrackerParams:
     r_center: float = 4e-4         # (2 cm)^2
 
     def __post_init__(self) -> None:
-        if self.d_max <= 0.0:
-            raise ValueError("d_max must be > 0")
-        if self.max_misses < 1:
-            raise ValueError("max_misses must be >= 1")
+        for name in ("d_max", "max_misses"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("min_speed", "q_pos", "q_vel", "q_acc", "r_center"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if self.q_pos + self.r_center == 0.0:
             raise ValueError("q_pos + r_center must be > 0")
 

@@ -1,25 +1,27 @@
 """Scenario files: schema-versioned YAML describing world, robot and params.
 
-Loading is strict: unknown keys are rejected and every limit violation is
-reported with its field path, so a typo in a tuning key fails loudly instead
-of silently falling back to a default.
+Loading is strict: unknown keys and non-finite numbers are rejected, and
+every limit violation is reported with its field path, so a typo in a tuning
+key fails loudly instead of silently falling back to a default. The limits
+themselves live on the params dataclasses; the reader builds each section
+from the fields of its class.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import yaml
 
-from .barrier import VARIANTS, BarrierParams
+from .barrier import BarrierParams
 from .controller import ControllerParams
 from .gp import KernelParams
-from .perception.grid import GridSpec
 from .perception.pipeline import PerceptionParams
-from .perception.tracking import TrackerParams
 from .simworld import MotionSpec, Obstacle, World, LidarSpec
 
 SCHEMA_VERSION = 1
@@ -44,6 +46,10 @@ class GoalConfig:
     position: tuple[float, float]
     arrival_radius: float = 0.05
 
+    def __post_init__(self) -> None:
+        if not self.arrival_radius > 0.0:
+            raise ValueError("arrival_radius must be > 0")
+
 
 @dataclass(frozen=True)
 class ObstacleConfig:
@@ -51,6 +57,10 @@ class ObstacleConfig:
     radius: float
     center: tuple[float, float]
     motion: MotionSpec = field(default_factory=MotionSpec)
+
+    def __post_init__(self) -> None:
+        if not self.radius > 0.0:
+            raise ValueError("radius must be > 0")
 
 
 @dataclass(frozen=True)
@@ -68,12 +78,20 @@ class ScenarioConfig:
     perception: PerceptionParams = field(default_factory=PerceptionParams)
     sensor: LidarSpec = field(default_factory=LidarSpec)
 
+    def __post_init__(self) -> None:
+        for name in ("dt", "max_time"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
+
 
 def with_variant(cfg: ScenarioConfig, variant: str) -> ScenarioConfig:
     """Copy of the scenario running a different controller variant."""
-    if variant not in VARIANTS:
-        raise ValidationError(f"controller.variant: unknown variant {variant!r}")
-    return replace(cfg, controller=replace(cfg.controller, variant=variant))
+    try:
+        return replace(cfg, controller=replace(cfg.controller, variant=variant))
+    except ValueError as exc:
+        raise ValidationError(f"controller: {exc}") from None
 
 
 def build_world(cfg: ScenarioConfig) -> World:
@@ -119,279 +137,154 @@ def load_scenario(path) -> ScenarioConfig:
 
 def scenario_from_dict(data: dict, default_name: str = "scenario") -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed mapping."""
-    section = _Section(dict(data), "")
-    schema = section.take_int("schema", SCHEMA_VERSION)
+    data = _mapping(data, "")
+    schema = _int(data.pop("schema", SCHEMA_VERSION), "schema")
     if schema != SCHEMA_VERSION:
         raise ValidationError(f"schema: unsupported version {schema}")
-    name = section.take_str("name", default_name)
-    default = _field_defaults(ScenarioConfig)
-    seed = section.take_int("seed", default["seed"])
-    dt = section.take_float("dt", default["dt"], positive=True)
-    max_time = section.take_float("max_time", default["max_time"], positive=True)
-
-    robot = _parse_robot(section.take_section("robot"))
-    goal = _parse_goal(section.take_section("goal", required=True))
-    obstacles = _parse_obstacles(section.take_list("obstacles"))
-    controller = _parse_controller(section.take_section("controller"))
-    barrier_params = _parse_barrier(section.take_section("barrier"))
-    kernel = _parse_kernel(section.take_section("kernel"))
-    perception = _parse_perception(section.take_section("perception"))
-    sensor = _parse_sensor(section.take_section("sensor"))
-    section.finish()
-
-    return ScenarioConfig(name=name, goal=goal, robot=robot, obstacles=obstacles,
-                          seed=seed, dt=dt, max_time=max_time,
-                          controller=controller, barrier=barrier_params,
-                          kernel=kernel, perception=perception, sensor=sensor)
+    data.setdefault("name", default_name)
+    return _read(ScenarioConfig, data, "")
 
 
-def _field_defaults(cls) -> dict:
-    """Plain field defaults of a dataclass that has required fields."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+def _read(cls, value, path: str, given: dict | None = None):
+    """Build a params dataclass from one YAML section.
+
+    Each init field is one key, named as the field unless _RENAMES says
+    otherwise, read by its annotation and left to the field's default when
+    absent. Fields in given are already built. The class checks its own
+    bounds; a ValueError it raises is reported under the section's path.
+    """
+    data = _mapping(value, path)
+    kwargs = dict(given or {})
+    hints = get_type_hints(cls)
+    renames = _RENAMES.get(cls, {})
+    for f in fields(cls):
+        if f.name in kwargs:
+            continue
+        key = renames.get(f.name, f.name)
+        if key in data:
+            kwargs[f.name] = _value(hints[f.name], data.pop(key), _join(path, key))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            what = "section" if is_dataclass(hints[f.name]) else "field"
+            raise ValidationError(f"{_join(path, key)}: {what} is required")
+    _refuse_unknown(data, path)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        message = str(exc)
+        for name, key in renames.items():   # report a field by its YAML key
+            message = message.replace(name, key)
+        raise ValidationError(f"{path}: {message}" if path else message) from None
 
 
-class _Section:
-    """Mapping wrapper that tracks consumed keys and reports field paths."""
+def _value(hint, value, path: str):
+    if hint in _READERS:
+        return _READERS[hint](value, path)
+    return _read(hint, value, path)
 
-    def __init__(self, data: dict, prefix: str) -> None:
-        if not isinstance(data, dict):
-            raise ValidationError(f"{prefix or 'top level'}: expected a mapping")
-        self.data = dict(data)
-        self.prefix = prefix
 
-    def _path(self, key: str) -> str:
-        return f"{self.prefix}.{key}" if self.prefix else key
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
-    def take(self, key: str, default):
-        return self.data.pop(key, default)
 
-    def take_str(self, key: str, default: str) -> str:
-        value = self.take(key, default)
-        if not isinstance(value, str):
-            raise ValidationError(f"{self._path(key)}: expected a string")
+def _mapping(value, path: str) -> dict:
+    """Copy of a section's mapping; an absent or null section is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path or 'top level'}: expected a mapping")
+    return dict(value)
+
+
+def _refuse_unknown(keys, path: str) -> None:
+    if keys:
+        raise ValidationError(f"{path or 'top level'}: "
+                              f"unknown key {sorted(keys)[0]!r}")
+
+
+def _float(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{path}: expected a number")
+    try:
+        number = float(value)
+    except OverflowError:   # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{path}: expected a finite number, got {number}")
+    return number
+
+
+def _exactly(kind: type, what: str):
+    """Reader that takes only values of exactly this type (no bool for int)."""
+    def read(value, path: str):
+        if type(value) is not kind:
+            raise ValidationError(f"{path}: expected {what}")
         return value
-
-    def take_bool(self, key: str, default: bool) -> bool:
-        value = self.take(key, default)
-        if not isinstance(value, bool):
-            raise ValidationError(f"{self._path(key)}: expected a boolean")
-        return value
-
-    def take_int(self, key: str, default: int, positive: bool = False) -> int:
-        value = self.take(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{self._path(key)}: expected an integer")
-        if positive and value <= 0:
-            raise ValidationError(f"{self._path(key)}: must be > 0")
-        return value
-
-    def take_float(self, key: str, default: float | None, positive: bool = False,
-                   nonnegative: bool = False) -> float:
-        value = self.take(key, default)
-        if value is None:
-            raise ValidationError(f"{self._path(key)}: field is required")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{self._path(key)}: expected a number")
-        value = float(value)
-        if positive and value <= 0.0:
-            raise ValidationError(f"{self._path(key)}: must be > 0")
-        if nonnegative and value < 0.0:
-            raise ValidationError(f"{self._path(key)}: must be >= 0")
-        return value
-
-    def take_pair(self, key: str, default) -> tuple[float, float]:
-        value = self.take(key, default)
-        if value is None:
-            raise ValidationError(f"{self._path(key)}: field is required")
-        if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in value)):
-            raise ValidationError(f"{self._path(key)}: expected [x, y] numbers")
-        return float(value[0]), float(value[1])
-
-    def take_section(self, key: str, required: bool = False) -> "_Section":
-        value = self.take(key, None)
-        if value is None:
-            if required:
-                raise ValidationError(f"{self._path(key)}: section is required")
-            value = {}
-        return _Section(value, self._path(key))
-
-    def take_list(self, key: str) -> list:
-        value = self.take(key, [])
-        if not isinstance(value, list):
-            raise ValidationError(f"{self._path(key)}: expected a list")
-        return value
-
-    def finish(self) -> None:
-        if self.data:
-            key = sorted(self.data)[0]
-            raise ValidationError(f"{self.prefix or 'top level'}: "
-                                  f"unknown key {key!r}")
+    return read
 
 
-def _parse_robot(sec: _Section) -> RobotConfig:
-    default = RobotConfig()
-    start = sec.take_pair("start", default.start)
-    heading = sec.take_float("heading", default.heading)
-    sec.finish()
-    return RobotConfig(start=start, heading=heading)
+_int = _exactly(int, "an integer")
+_bool = _exactly(bool, "a boolean")
+_str = _exactly(str, "a string")
 
 
-def _parse_goal(sec: _Section) -> GoalConfig:
-    position = sec.take_pair("position", None)
-    radius = sec.take_float("arrival_radius",
-                            _field_defaults(GoalConfig)["arrival_radius"],
-                            positive=True)
-    sec.finish()
-    return GoalConfig(position=position, arrival_radius=radius)
+def _pair(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValidationError(f"{path}: expected [x, y] numbers")
+    return _float(value[0], path), _float(value[1], path)
 
 
-def _parse_obstacles(entries: list) -> tuple[ObstacleConfig, ...]:
-    obstacles = []
-    seen: set[str] = set()
-    for index, entry in enumerate(entries):
-        sec = _Section(entry, f"obstacles[{index}]")
-        obstacle_id = sec.take_str("id", f"obstacle{index}")
-        if obstacle_id in seen:
-            raise ValidationError(f"obstacles[{index}].id: duplicate id "
-                                  f"{obstacle_id!r}")
-        seen.add(obstacle_id)
-        radius = sec.take_float("radius", None, positive=True)
-        center = sec.take_pair("center", None)
-        motion = _parse_motion(sec.take_section("motion"), f"obstacles[{index}].motion")
-        sec.finish()
-        obstacles.append(ObstacleConfig(obstacle_id=obstacle_id, radius=radius,
-                                        center=center, motion=motion))
+def _obstacles(value, path: str) -> tuple[ObstacleConfig, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a list")
+    obstacles: list[ObstacleConfig] = []
+    for index, entry in enumerate(value):
+        entry_path = f"{path}[{index}]"
+        data = _mapping(entry, entry_path)
+        data.setdefault("id", f"obstacle{index}")
+        obstacle = _read(ObstacleConfig, data, entry_path)
+        if any(o.obstacle_id == obstacle.obstacle_id for o in obstacles):
+            raise ValidationError(f"{entry_path}.id: duplicate id "
+                                  f"{obstacle.obstacle_id!r}")
+        obstacles.append(obstacle)
     return tuple(obstacles)
 
 
-def _parse_motion(sec: _Section, path: str) -> MotionSpec:
-    default = MotionSpec()
-    kind = sec.take_str("type", default.kind)
-    if kind == "static":
-        sec.finish()
-        return MotionSpec(kind="static")
-    if kind == "velocity":
-        velocity = sec.take_pair("velocity", None)
-        sec.finish()
-        return MotionSpec(kind="velocity", velocity=velocity)
-    if kind == "sinusoid":
-        axis = sec.take_pair("axis", default.axis)
-        amplitude = sec.take_float("amplitude", default.amplitude, nonnegative=True)
-        period = sec.take_float("period", None, positive=True)
-        sec.finish()
-        return MotionSpec(kind="sinusoid", axis=axis, amplitude=amplitude,
-                          period=period)
-    raise ValidationError(f"{path}.type: unknown motion type {kind!r}")
+# keys each motion type takes besides `type`; the first one listed is required
+_MOTION_KEYS = {"static": (), "velocity": ("velocity",),
+                "sinusoid": ("period", "axis", "amplitude")}
 
 
-def _parse_controller(sec: _Section) -> ControllerParams:
-    default = ControllerParams()
-    variant = sec.take_str("variant", default.variant)
-    if variant not in VARIANTS:
-        raise ValidationError(f"controller.variant: unknown variant {variant!r}; "
-                              f"expected one of {list(VARIANTS)}")
-    params = ControllerParams(
-        variant=variant,
-        alpha_slope=sec.take_float("alpha_slope", default.alpha_slope,
-                                   positive=True),
-        lead_offset=sec.take_float("lead_offset", default.lead_offset,
-                                   positive=True),
-        u_max=sec.take_float("u_max", default.u_max, positive=True),
-        v_max=sec.take_float("v_max", default.v_max, positive=True),
-        omega_max=sec.take_float("omega_max", default.omega_max, positive=True),
-        goal_deadband=sec.take_float("goal_deadband", default.goal_deadband,
-                                     nonnegative=True),
-        evaluate_at_lead=sec.take_bool("evaluate_at_lead",
-                                       default.evaluate_at_lead),
-    )
-    sec.finish()
-    return params
+def _motion(value, path: str) -> MotionSpec:
+    data = _mapping(value, path)
+    kind = _str(data.get("type", MotionSpec.kind), f"{path}.type")
+    if kind not in _MOTION_KEYS:
+        raise ValidationError(f"{path}.type: unknown motion type {kind!r}")
+    keys = _MOTION_KEYS[kind]
+    _refuse_unknown(data.keys() - {"type", *keys}, path)
+    if keys and keys[0] not in data:
+        raise ValidationError(f"{path}.{keys[0]}: field is required")
+    return _read(MotionSpec, data, path)
 
 
-def _parse_barrier(sec: _Section) -> BarrierParams:
-    default = BarrierParams()
-    params = BarrierParams(
-        scale=sec.take_float("scale", default.scale, positive=True),
-        margin_shift=sec.take_float("margin_shift", default.margin_shift,
-                                    positive=True),
-        mu_floor=sec.take_float("mu_floor", default.mu_floor, positive=True),
-        linear_prior=sec.take_float("linear_prior", default.linear_prior),
-    )
-    sec.finish()
-    if params.mu_floor > 1e-9:
-        raise ValidationError("barrier.mu_floor: must be <= 1e-9")
-    return params
+def _perception(value, path: str) -> PerceptionParams:
+    """Perception reads eps and min_pts from its nested `clustering` section."""
+    data = _mapping(value, path)
+    cluster_path = f"{path}.clustering"
+    clustering = _mapping(data.pop("clustering", None), cluster_path)
+    hints = get_type_hints(PerceptionParams)
+    given = {name: _value(hints[name], clustering.pop(name), f"{cluster_path}.{name}")
+             for name in ("eps", "min_pts") if name in clustering}
+    _refuse_unknown(clustering, cluster_path)
+    _refuse_unknown(data.keys() & {"eps", "min_pts"}, path)
+    return _read(PerceptionParams, data, path, given)
 
 
-def _parse_kernel(sec: _Section) -> KernelParams:
-    default = KernelParams()
-    params = KernelParams(
-        length_scale=sec.take_float("length_scale", default.length_scale,
-                                    positive=True),
-        jitter=sec.take_float("jitter", default.jitter, nonnegative=True),
-    )
-    sec.finish()
-    return params
+# YAML keys that differ from the field they fill
+_RENAMES = {ObstacleConfig: {"obstacle_id": "id"}, MotionSpec: {"kind": "type"},
+            LidarSpec: {"beam_count": "beams"}}
 
-
-def _parse_perception(sec: _Section) -> PerceptionParams:
-    default = PerceptionParams()
-    grid_sec = sec.take_section("grid")
-    grid = GridSpec(
-        width=grid_sec.take_int("width", default.grid.width, positive=True),
-        height=grid_sec.take_int("height", default.grid.height, positive=True),
-        resolution=grid_sec.take_float("resolution", default.grid.resolution,
-                                       positive=True),
-    )
-    grid_sec.finish()
-
-    cluster_sec = sec.take_section("clustering")
-    eps = cluster_sec.take_float("eps", default.eps, positive=True)
-    min_pts = cluster_sec.take_int("min_pts", default.min_pts, positive=True)
-    cluster_sec.finish()
-
-    tracker = _parse_tracker(sec.take_section("tracker"))
-    params = PerceptionParams(
-        grid=grid, eps=eps, min_pts=min_pts,
-        mvee_tolerance=sec.take_float("mvee_tolerance", default.mvee_tolerance,
-                                      positive=True),
-        tracker=tracker,
-        dataset_cap=sec.take_int("dataset_cap", default.dataset_cap,
-                                 positive=True),
-    )
-    sec.finish()
-    return params
-
-
-def _parse_tracker(sec: _Section) -> TrackerParams:
-    default = TrackerParams()
-    q_pos = sec.take_float("q_pos", default.q_pos, nonnegative=True)
-    r_center = sec.take_float("r_center", default.r_center, nonnegative=True)
-    if q_pos + r_center == 0.0:
-        raise ValidationError(f"{sec.prefix}: q_pos + r_center must be > 0")
-    params = TrackerParams(
-        d_max=sec.take_float("d_max", default.d_max, positive=True),
-        max_misses=sec.take_int("max_misses", default.max_misses, positive=True),
-        min_velocity_age=sec.take_int("min_velocity_age", default.min_velocity_age),
-        min_speed=sec.take_float("min_speed", default.min_speed, nonnegative=True),
-        q_pos=q_pos,
-        q_vel=sec.take_float("q_vel", default.q_vel, nonnegative=True),
-        q_acc=sec.take_float("q_acc", default.q_acc, nonnegative=True),
-        r_center=r_center,
-    )
-    sec.finish()
-    return params
-
-
-def _parse_sensor(sec: _Section) -> LidarSpec:
-    default = LidarSpec()
-    spec = LidarSpec(
-        beam_count=sec.take_int("beams", default.beam_count, positive=True),
-        max_range=sec.take_float("max_range", default.max_range, positive=True),
-        noise_sigma=sec.take_float("noise_sigma", default.noise_sigma,
-                                   nonnegative=True),
-    )
-    sec.finish()
-    return spec
+# readers by field annotation; any other annotation must be a params dataclass
+_READERS = {float: _float, int: _int, bool: _bool, str: _str,
+            tuple[float, float]: _pair,
+            tuple[ObstacleConfig, ...]: _obstacles,
+            MotionSpec: _motion, PerceptionParams: _perception}

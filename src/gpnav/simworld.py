@@ -44,11 +44,12 @@ class MotionSpec:
     def __post_init__(self) -> None:
         if self.kind not in MOTION_KINDS:
             raise ValueError(f"unknown motion kind {self.kind!r}")
-        if self.kind == "sinusoid":
-            if self.period <= 0.0:
-                raise ValueError("sinusoid period must be > 0")
-            if np.linalg.norm(self.axis) == 0.0:
-                raise ValueError("sinusoid axis must be nonzero")
+        if not self.amplitude >= 0.0:
+            raise ValueError("amplitude must be >= 0")
+        if not self.period > 0.0:
+            raise ValueError("period must be > 0")
+        if not math.hypot(*self.axis) > 0.0:
+            raise ValueError("axis must be nonzero")
 
 
 @dataclass
@@ -120,11 +121,11 @@ class LidarSpec:
     noise_sigma: float = 0.0       # m, Gaussian range noise on hits
 
     def __post_init__(self) -> None:
-        if self.beam_count < 1:
-            raise ValueError("beam_count must be >= 1")
-        if self.max_range <= 0.0:
+        if not self.beam_count > 0:
+            raise ValueError("beam_count must be > 0")
+        if not self.max_range > 0.0:
             raise ValueError("max_range must be > 0")
-        if self.noise_sigma < 0.0:
+        if not self.noise_sigma >= 0.0:
             raise ValueError("noise_sigma must be >= 0")
 
 

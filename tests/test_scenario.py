@@ -1,17 +1,26 @@
 """Scenario loading: defaults, strict validation, and the shipped files."""
 
-import pytest
+import copy
+import re
+from dataclasses import is_dataclass
+from typing import get_args, get_type_hints
 
+import pytest
+import yaml
+
+from gpnav import scenario
 from gpnav.barrier import BarrierParams
+from gpnav.cli import main
 from gpnav.controller import ControllerParams
 from gpnav.gp import KernelParams
+from gpnav.perception.grid import GridSpec
 from gpnav.perception.pipeline import PerceptionParams
 from gpnav.perception.tracking import TrackerParams
-from gpnav.scenario import (GoalConfig, ParseError, RobotConfig, ScenarioConfig,
-                            ValidationError, build_world, canonical_scenarios,
-                            load_scenario, resolve_scenario, scenario_from_dict,
-                            with_variant)
-from gpnav.simworld import LidarSpec
+from gpnav.scenario import (GoalConfig, ObstacleConfig, ParseError, RobotConfig,
+                            ScenarioConfig, ValidationError, build_world,
+                            canonical_scenarios, load_scenario, resolve_scenario,
+                            scenario_from_dict, with_variant)
+from gpnav.simworld import LidarSpec, MotionSpec
 
 MINIMAL = {
     "goal": {"position": [10.0, -2.0]},
@@ -173,3 +182,191 @@ def test_build_world_fresh_instances():
     world_b = build_world(cfg)
     world_a.obstacles[0].center += 1.0
     assert world_b.obstacles[0].center[0] == 1.0
+
+
+# every key of the schema, each set away from its default
+FULL = {
+    "schema": 1, "name": "full", "seed": 7, "dt": 0.04, "max_time": 0.5,
+    "robot": {"start": [-2.0, 0.5], "heading": 0.1},
+    "goal": {"position": [4.0, -0.5], "arrival_radius": 0.25},
+    "obstacles": [
+        {"id": "rock", "radius": 0.4, "center": [1.0, 1.1],
+         "motion": {"type": "static"}},
+        {"id": "mover", "radius": 0.35, "center": [3.0, -2.0],
+         "motion": {"type": "velocity", "velocity": [0.0, 0.3]}},
+        {"id": "swing", "radius": 0.3, "center": [2.0, 2.0],
+         "motion": {"type": "sinusoid", "axis": [0.0, 1.0], "amplitude": 0.5,
+                    "period": 4.0}},
+    ],
+    "controller": {"alpha_slope": 0.3, "lead_offset": 0.25, "u_max": 0.7,
+                   "v_max": 0.9, "omega_max": 1.5, "goal_deadband": 0.02,
+                   "evaluate_at_lead": False, "variant": "gp-linear"},
+    "barrier": {"scale": 2.0, "margin_shift": 0.2, "mu_floor": 1.0e-11,
+                "linear_prior": 0.8},
+    "kernel": {"length_scale": 0.8, "jitter": 1.0e-7},
+    "perception": {"grid": {"width": 50, "height": 40, "resolution": 0.25},
+                   "clustering": {"eps": 0.4, "min_pts": 3},
+                   "mvee_tolerance": 1.0e-3, "dataset_cap": 50,
+                   "tracker": {"d_max": 0.9, "max_misses": 4,
+                               "min_velocity_age": 3, "min_speed": 0.1,
+                               "q_pos": 2.0e-4, "q_vel": 2.0e-2, "q_acc": 0.2,
+                               "r_center": 5.0e-4}},
+    "sensor": {"beams": 90, "max_range": 5.0, "noise_sigma": 0.01},
+}
+
+# the float keys of FULL, as an error message names them
+FLOAT_KEYS = [
+    "dt", "max_time", "robot.heading", "goal.arrival_radius",
+    "obstacles[0].radius", "obstacles[2].motion.amplitude",
+    "obstacles[2].motion.period",
+    *(f"controller.{k}" for k in ("alpha_slope", "lead_offset", "u_max", "v_max",
+                                  "omega_max", "goal_deadband")),
+    *(f"barrier.{k}" for k in ("scale", "margin_shift", "mu_floor",
+                               "linear_prior")),
+    "kernel.length_scale", "kernel.jitter", "perception.grid.resolution",
+    "perception.clustering.eps", "perception.mvee_tolerance",
+    *(f"perception.tracker.{k}" for k in ("d_max", "min_speed", "q_pos", "q_vel",
+                                          "q_acc", "r_center")),
+    "sensor.max_range", "sensor.noise_sigma",
+]
+
+
+def with_value(key, value):
+    """Copy of FULL with the key (as an error message names it) set to value."""
+    data = copy.deepcopy(FULL)
+    *parents, leaf = [int(p) if p.isdigit() else p
+                      for p in re.split(r"[.\[\]]+", key) if p]
+    node = data
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return data
+
+
+def run_file(tmp_path, data, *flags):
+    path = tmp_path / "case.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return main(["run", str(path), *flags])
+
+
+def test_every_key_lands_in_its_field(tmp_path):
+    motions = (MotionSpec(), MotionSpec(kind="velocity", velocity=(0.0, 0.3)),
+               MotionSpec(kind="sinusoid", axis=(0.0, 1.0), amplitude=0.5,
+                          period=4.0))
+    obstacles = tuple(
+        ObstacleConfig(obstacle_id, radius, center, motion)
+        for (obstacle_id, radius, center), motion in zip(
+            [("rock", 0.4, (1.0, 1.1)), ("mover", 0.35, (3.0, -2.0)),
+             ("swing", 0.3, (2.0, 2.0))], motions))
+    expected = ScenarioConfig(
+        name="full", goal=GoalConfig((4.0, -0.5), 0.25),
+        robot=RobotConfig((-2.0, 0.5), 0.1), obstacles=obstacles, seed=7,
+        dt=0.04, max_time=0.5,
+        controller=ControllerParams(0.3, 0.25, 0.7, 0.9, 1.5, 0.02, False,
+                                    "gp-linear"),
+        barrier=BarrierParams(2.0, 0.2, 1e-11, 0.8),
+        kernel=KernelParams(0.8, 1e-7),
+        perception=PerceptionParams(
+            GridSpec(50, 40, 0.25), 0.4, 3, 1e-3,
+            TrackerParams(0.9, 4, 3, 0.1, 2e-4, 2e-2, 0.2, 5e-4), 50),
+        sensor=LidarSpec(90, 5.0, 0.01))
+    assert scenario_from_dict(FULL) == expected
+    path = tmp_path / "full.yaml"
+    path.write_text(yaml.safe_dump(FULL))
+    assert load_scenario(path) == expected
+
+
+def test_every_schema_annotation_has_a_reader():
+    # a field whose annotation the reader cannot read fails here, not on load
+    seen, todo = set(), [ScenarioConfig]
+    while todo:
+        cls = todo.pop()
+        seen.add(cls)
+        for name, hint in get_type_hints(cls).items():
+            assert hint in scenario._READERS or is_dataclass(hint), \
+                f"{cls.__name__}.{name}: no reader for {hint}"
+            todo += [t for t in (hint, *get_args(hint))
+                     if is_dataclass(t) and t not in seen]
+    assert seen == {ScenarioConfig, GoalConfig, RobotConfig, ObstacleConfig,
+                    MotionSpec, ControllerParams, BarrierParams, KernelParams,
+                    PerceptionParams, GridSpec, TrackerParams, LidarSpec}
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_nan_is_refused_by_key(key, tmp_path, capsys):
+    assert len(FLOAT_KEYS) == 30
+    assert run_file(tmp_path, with_value(key, float("nan"))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: expected a finite number")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_time", float("inf")),
+    ("robot.heading", float("-inf")),
+    ("goal.position", [0.0, float("inf")]),
+    ("obstacles[1].motion.velocity", [float("nan"), 0.0]),
+    ("dt", 10 ** 400),
+    ("perception.tracker.q_pos", 10 ** 400),
+])
+def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
+    assert run_file(tmp_path, with_value(key, value)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: expected a finite number")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("barrier.mu_floor", 1.0e-3, "barrier: mu_floor must be in (0, 1e-9]"),
+    ("obstacles[2].motion.axis", [0.0, 0.0],
+     "obstacles[2].motion: axis must be nonzero"),
+    ("seed", -1, "seed must be >= 0"),
+    ("sensor.beams", 0, "sensor: beams must be > 0"),
+])
+def test_class_bounds_exit_two_with_section_and_field(key, value, message,
+                                                      tmp_path, capsys):
+    assert run_file(tmp_path, with_value(key, value)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_negative_seed_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "head_on", "--seed", "-3"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed: -3 is not >= 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("build, field_name", [
+    (lambda: TrackerParams(q_vel=-1.0), "q_vel"),
+    (lambda: ControllerParams(goal_deadband=-0.1), "goal_deadband"),
+    (lambda: ControllerParams(alpha_slope=0.0), "alpha_slope"),
+    (lambda: PerceptionParams(mvee_tolerance=0.0), "mvee_tolerance"),
+    (lambda: MotionSpec("sinusoid", amplitude=-1.0), "amplitude"),
+    (lambda: GoalConfig((0.0, 0.0), arrival_radius=0.0), "arrival_radius"),
+    (lambda: ObstacleConfig("a", 0.0, (0.0, 0.0)), "radius"),
+    (lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=0.0), "dt"),
+    (lambda: ControllerParams(u_max=float("nan")), "u_max"),
+    (lambda: TrackerParams(min_speed=float("nan")), "min_speed"),
+])
+def test_direct_construction_enforces_the_schema_bounds(build, field_name):
+    with pytest.raises(ValueError, match=field_name):
+        build()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sensor": {"beam_count": 90}}, "sensor: unknown key 'beam_count'"),
+    ({"obstacles": [{"id": "a", "radius": 0.5, "center": [0.0, 0.0],
+                     "motion": {"type": "static", "velocity": [1.0, 0.0]}}]},
+     "obstacles[0].motion: unknown key 'velocity'"),
+    ({"perception": {"eps": 0.3}}, "perception: unknown key 'eps'"),
+    ({"perception": {"clustering": {"mvee_tolerance": 1.0e-3}}},
+     "perception.clustering: unknown key 'mvee_tolerance'"),
+])
+def test_unknown_keys_are_refused(change, message):
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict({**MINIMAL, **change})
+    assert str(info.value) == message

@@ -11,7 +11,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,31 +22,41 @@ from .perception.pipeline import PerceptionPipeline
 from .scenario import ScenarioConfig, ValidationError, build_world, with_variant
 from .simworld import RobotState, cast_lidar, step_dynamics
 
-CSV_COLUMNS = [
-    "t", "px", "py", "theta", "v", "omega", "h", "dh_dt", "mu", "clearance",
-    "dataset_size", "constraint_active", "constraint_slack", "saturated",
-    "barrier_time_ms", "qp_time_ms",
-]
+def _csv(spec: str):
+    """A trajectory.csv column written with format(value, spec)."""
+    return field(metadata={"csv": spec})
 
 
 @dataclass
 class TrajectoryStep:
-    t: float
-    px: float
-    py: float
-    theta: float
-    v: float
-    omega: float
-    h: float
-    dh_dt: float
-    mu: float
-    clearance: float
-    dataset_size: int
-    constraint_active: bool
-    constraint_slack: float
-    saturated: bool
-    barrier_time_ms: float
-    qp_time_ms: float
+    """One control step; each field is a trajectory.csv column, in order.
+
+    A bool under "d" is written as 1 or 0. fallback names the controller
+    fallback that fired ("empty", "clamped", "brake"), empty when none did.
+    """
+
+    t: float = _csv(".4f")
+    px: float = _csv(".9f")
+    py: float = _csv(".9f")
+    theta: float = _csv(".9f")
+    v: float = _csv(".9f")
+    omega: float = _csv(".9f")
+    h: float = _csv(".9f")
+    dh_dt: float = _csv(".9f")
+    mu: float = _csv(".12e")
+    clearance: float = _csv(".9f")
+    dataset_size: int = _csv("d")
+    constraint_active: bool = _csv("d")
+    constraint_slack: float = _csv(".9e")
+    saturated: bool = _csv("d")
+    barrier_time_ms: float = _csv(".4f")
+    qp_time_ms: float = _csv(".4f")
+    fallback: str = field(default="", metadata={"csv": ""})
+
+
+_CSV_HEADER = ",".join(f.name for f in fields(TrajectoryStep)) + "\n"
+_CSV_ROW = ",".join(f"{{0.{f.name}:{f.metadata['csv']}}}"
+                    for f in fields(TrajectoryStep)) + "\n"
 
 
 @dataclass
@@ -61,50 +71,50 @@ class TrajectoryLog:
 
     def write_csv(self, path) -> None:
         with open(path, "w") as handle:
-            handle.write(",".join(CSV_COLUMNS) + "\n")
-            for s in self.steps:
-                handle.write(
-                    f"{s.t:.4f},{s.px:.9f},{s.py:.9f},{s.theta:.9f},"
-                    f"{s.v:.9f},{s.omega:.9f},{s.h:.9f},{s.dh_dt:.9f},"
-                    f"{s.mu:.12e},{s.clearance:.9f},{s.dataset_size},"
-                    f"{int(s.constraint_active)},{s.constraint_slack:.9e},"
-                    f"{int(s.saturated)},{s.barrier_time_ms:.4f},"
-                    f"{s.qp_time_ms:.4f}\n")
+            handle.write(_CSV_HEADER)
+            handle.writelines(_CSV_ROW.format(s) for s in self.steps)
+
+
+def _json(digits: int, timing: bool = False):
+    """A metrics.json number rounded to digits; inf is written as null."""
+    return field(metadata={"digits": digits, "timing": timing})
 
 
 @dataclass
 class Metrics:
-    """Episode-level summary; collision holds iff min clearance <= 0."""
+    """Episode-level summary; each field is a metrics.json key.
 
-    min_clearance: float
-    arrival_time: float | None
-    linear_speed_variance: float
-    angular_speed_variance: float
+    mean_barrier_time_ms is wall-clock timing, left out of the
+    deterministic comparison output.
+    """
+
+    min_clearance: float = _json(9)
+    arrival_time: float | None = _json(4)
+    linear_speed_variance: float = _json(9)
+    angular_speed_variance: float = _json(9)
     collision: bool
     timed_out: bool
-    mean_barrier_time_ms: float
     steps: int
+    mean_barrier_time_ms: float = _json(4, timing=True)
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        data = {
-            "min_clearance": None if math.isinf(self.min_clearance)
-            else round(self.min_clearance, 9),
-            "arrival_time": None if self.arrival_time is None
-            else round(self.arrival_time, 4),
-            "linear_speed_variance": round(self.linear_speed_variance, 9),
-            "angular_speed_variance": round(self.angular_speed_variance, 9),
-            "collision": self.collision,
-            "timed_out": self.timed_out,
-            "steps": self.steps,
-        }
-        if include_timing:
-            data["mean_barrier_time_ms"] = round(self.mean_barrier_time_ms, 4)
+        data = {}
+        for f in fields(self):
+            if f.metadata.get("timing") and not include_timing:
+                continue
+            value = getattr(self, f.name)
+            digits = f.metadata.get("digits")
+            if digits is not None and value is not None:
+                value = None if math.isinf(value) else round(value, digits)
+            data[f.name] = value
         return data
 
 
 def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
                 dump_perception: bool = False) -> tuple[TrajectoryLog, Metrics]:
-    """Run one closed-loop episode until arrival, collision, or timeout.
+    """Run one closed-loop episode until collision, arrival or timeout.
+
+    Each step checks them in that order, after logging the step.
 
     With out_dir set, writes trajectory.csv and metrics.json, plus the
     optional barrier-field grid (final frame's model) and per-frame
@@ -122,7 +132,6 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
     perception_records: list[dict] = []
     last_model = None
     arrival_time: float | None = None
-    collided = False
 
     max_steps = int(round(cfg.max_time / cfg.dt))
     for step in range(max_steps + 1):
@@ -161,10 +170,10 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
             saturated=diag.saturated,
             barrier_time_ms=build_ms + diag.barrier_ms,
             qp_time_ms=diag.qp_ms,
+            fallback=diag.fallback,
         ))
 
         if clearance <= 0.0:
-            collided = True
             break
         if goal_distance <= cfg.goal.arrival_radius:
             arrival_time = t
@@ -175,8 +184,7 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
         robot = step_dynamics(robot, control, cfg.dt)
         world.advance(cfg.dt)
 
-    metrics = compute_metrics(log, cfg, arrival_time=arrival_time,
-                              collided=collided)
+    metrics = compute_metrics(log, arrival_time)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -200,28 +208,19 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
     return log, metrics
 
 
-def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig,
-                    arrival_time: float | None = None,
-                    collided: bool | None = None) -> Metrics:
-    """Summarize a trajectory log.
+def compute_metrics(log: TrajectoryLog,
+                    arrival_time: float | None = None) -> Metrics:
+    """Summarize a trajectory log; the episode loop decides the outcome.
 
-    arrival_time and collision are recomputed from the log when not supplied
-    by the episode loop (first step within the arrival radius; any step with
-    clearance <= 0).
+    The loop stops at the first step with clearance <= 0 (a collision, so
+    collision is min clearance <= 0), else at the first step within the
+    arrival radius (arrival_time is that step's t), else at max_time (a
+    timeout: neither collided nor arrived).
     """
     if len(log) == 0:
         raise ValueError("cannot compute metrics for an empty log")
-    clearances = log.column("clearance")
-    min_clearance = float(np.min(clearances))
-    if collided is None:
-        collided = bool(min_clearance <= 0.0)
-    if arrival_time is None:
-        goal = np.asarray(cfg.goal.position, dtype=float)
-        px, py = log.column("px"), log.column("py")
-        dist = np.hypot(px - goal[0], py - goal[1])
-        inside = np.flatnonzero(dist <= cfg.goal.arrival_radius)
-        if len(inside) > 0:
-            arrival_time = float(log.steps[int(inside[0])].t)
+    min_clearance = float(np.min(log.column("clearance")))
+    collided = min_clearance <= 0.0
 
     barrier_times = np.array([s.barrier_time_ms for s in log.steps
                               if s.dataset_size > 0])
@@ -231,10 +230,10 @@ def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig,
         arrival_time=arrival_time,
         linear_speed_variance=float(np.var(log.column("v"))),
         angular_speed_variance=float(np.var(log.column("omega"))),
-        collision=bool(collided),
+        collision=collided,
         timed_out=arrival_time is None and not collided,
-        mean_barrier_time_ms=mean_barrier,
         steps=len(log),
+        mean_barrier_time_ms=mean_barrier,
     )
 
 

@@ -42,6 +42,8 @@ class KernelParams:
     def __post_init__(self) -> None:
         if not self.length_scale > 0.0:
             raise ValueError("length_scale must be > 0")
+        if not self.length_scale <= 1e3:
+            raise ValueError("length_scale must be <= 1e3")
         if not self.jitter >= 0.0:
             raise ValueError("jitter must be >= 0")
 

@@ -19,6 +19,8 @@ class GridSpec:
         for name in ("width", "height", "resolution"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"grid {name} must be > 0")
+        if not self.resolution <= 1e3:
+            raise ValueError("grid resolution must be <= 1e3")
 
 
 def grid_origin(robot_position, spec: GridSpec) -> np.ndarray:

@@ -61,6 +61,8 @@ class ObstacleConfig:
     def __post_init__(self) -> None:
         if not self.radius > 0.0:
             raise ValueError("radius must be > 0")
+        if not self.radius <= 1e3:
+            raise ValueError("radius must be <= 1e3")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Closed-loop episodes: arrival, timeout, metrics, and determinism."""
 
+import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ class TestRunEpisode:
         assert metrics.arrival_time is not None
         assert abs(metrics.arrival_time - 23.35) <= 2 * cfg.dt + 1e-9
         assert math.isinf(metrics.min_clearance)
+        assert metrics.to_dict()["min_clearance"] is None   # inf -> null
 
     def test_arrival_time_is_step_index_times_dt(self):
         cfg = scenario_from_dict(EMPTY_WORLD)
@@ -90,6 +93,20 @@ class TestRunEpisode:
             assert np.array_equal(log_a.column(column), log_b.column(column),
                                   equal_nan=True)
 
+    def test_start_inside_an_obstacle_within_the_arrival_radius(self, tmp_path):
+        # the loop stops on the collision at step 0, so the goal is not reached
+        cfg = scenario_from_dict({
+            "robot": {"start": [0.0, 0.0], "heading": 0.0},
+            "goal": {"position": [0.1, 0.0], "arrival_radius": 0.3},
+            "obstacles": [{"id": "r", "radius": 0.5, "center": [0.0, 0.0]}],
+        })
+        log, _ = run_episode(cfg, out_dir=tmp_path)
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert len(log) == 1
+        assert metrics["collision"] is True
+        assert metrics["arrival_time"] is None
+        assert metrics["timed_out"] is False
+
     def test_output_files(self, tmp_path):
         cfg = scenario_from_dict({
             "robot": {"start": [-2.0, 0.0], "heading": 0.0},
@@ -122,6 +139,31 @@ def head_on_run(tmp_path_factory):
 
 
 class TestClosedLoopInvariants:
+    def test_trajectory_csv_round_trips_every_step(self, head_on_run):
+        (log, _), out = head_on_run
+        with open(out / "trajectory.csv", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        columns = fields(TrajectoryStep)
+        assert header == [f.name for f in columns]
+        assert len(rows) == len(log)
+        for step, row in zip(log.steps, rows):
+            assert len(row) == len(columns)
+            for column, cell in zip(columns, row):
+                value = getattr(step, column.name)
+                spec = column.metadata["csv"]
+                if spec == "":
+                    assert cell == value
+                elif spec == "d":
+                    assert int(cell) == value
+                else:   # within half a unit of the last written digit
+                    half = 0.501 * 10.0 ** -int(spec[1:-1])
+                    rel, absolute = (0.0, half) if spec.endswith("f") \
+                        else (half, 0.0)
+                    assert float(cell) == pytest.approx(
+                        value, rel=rel, abs=absolute, nan_ok=True), column.name
+        fallbacks = {row[-1] for row in rows}
+        assert "" in fallbacks and len(fallbacks) > 1
+
     def test_constraint_slack_on_unsaturated_steps(self, head_on_run):
         (log, _), _ = head_on_run
         for step in log.steps:
@@ -159,29 +201,25 @@ class TestClosedLoopInvariants:
 
 class TestComputeMetrics:
     def test_constant_speed_zero_variance(self):
-        cfg = scenario_from_dict(EMPTY_WORLD)
-        metrics = compute_metrics(synthetic_log([1.0] * 10), cfg)
+        metrics = compute_metrics(synthetic_log([1.0] * 10))
         assert metrics.linear_speed_variance == 0.0
         assert metrics.angular_speed_variance == 0.0
 
     def test_population_variance_hand_computed(self):
         # v = (0.5, 1.0, 1.5): population variance 1/6
-        cfg = scenario_from_dict(EMPTY_WORLD)
-        metrics = compute_metrics(synthetic_log([0.5, 1.0, 1.5]), cfg)
+        metrics = compute_metrics(synthetic_log([0.5, 1.0, 1.5]))
         assert metrics.linear_speed_variance == pytest.approx(1.0 / 6.0, abs=1e-9)
         assert metrics.linear_speed_variance == pytest.approx(0.16667, abs=1e-5)
 
     def test_touching_boundary_sets_collision(self):
-        cfg = scenario_from_dict(EMPTY_WORLD)
         metrics = compute_metrics(
-            synthetic_log([1.0, 1.0, 1.0], clearances=[0.5, 0.0, 0.4]), cfg)
+            synthetic_log([1.0, 1.0, 1.0], clearances=[0.5, 0.0, 0.4]))
         assert metrics.min_clearance == 0.0
         assert metrics.collision
 
     def test_empty_log_rejected(self):
-        cfg = scenario_from_dict(EMPTY_WORLD)
         with pytest.raises(ValueError):
-            compute_metrics(TrajectoryLog(), cfg)
+            compute_metrics(TrajectoryLog())
 
 
 class TestCompare:

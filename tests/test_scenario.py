@@ -322,6 +322,10 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
      "obstacles[2].motion: axis must be nonzero"),
     ("seed", -1, "seed must be >= 0"),
     ("sensor.beams", 0, "sensor: beams must be > 0"),
+    ("kernel.length_scale", 1.0e300, "kernel: length_scale must be <= 1e3"),
+    ("obstacles[0].radius", 1.0e160, "obstacles[0]: radius must be <= 1e3"),
+    ("perception.grid.resolution", 1.0e300,
+     "perception.grid: grid resolution must be <= 1e3"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -351,6 +355,9 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=0.0), "dt"),
     (lambda: ControllerParams(u_max=float("nan")), "u_max"),
     (lambda: TrackerParams(min_speed=float("nan")), "min_speed"),
+    (lambda: KernelParams(length_scale=1.0e300), "length_scale must be <= 1e3"),
+    (lambda: ObstacleConfig("a", 1.0e160, (0.0, 0.0)), "radius must be <= 1e3"),
+    (lambda: GridSpec(resolution=1.0e300), "resolution must be <= 1e3"),
 ])
 def test_direct_construction_enforces_the_schema_bounds(build, field_name):
     with pytest.raises(ValueError, match=field_name):

@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("check-gradients",
                           help="derivatives vs finite differences")
-    grad.add_argument("--cases", type=int, default=100)
+    grad.add_argument("--cases", type=_positive_int, default=100)
     grad.set_defaults(handler=_cmd_check_gradients)
 
     bench = sub.add_parser("bench", help="time full barrier evaluations")

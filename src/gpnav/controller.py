@@ -37,20 +37,6 @@ class ControlInput:
     omega: float = 0.0
 
 
-@dataclass(frozen=True)
-class AlphaFunction:
-    """Linear class-K gain on the barrier value: alpha(h) = slope * h."""
-
-    slope: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.slope <= 0.0:
-            raise ValueError("alpha slope must be > 0")
-
-    def __call__(self, h: float) -> float:
-        return self.slope * h
-
-
 @dataclass
 class SafetyConstraint:
     """Halfspace a . u + b >= 0 on the lead-point velocity."""
@@ -68,7 +54,6 @@ class ControllerParams:
     v_max: float = 0.8             # m/s, linear saturation
     omega_max: float = 2.0         # rad/s, angular saturation
     goal_deadband: float = 0.05    # m
-    evaluate_at_lead: bool = True  # barrier query point: lead vs robot center
     variant: str = "dlgp"
 
     def __post_init__(self) -> None:
@@ -107,15 +92,16 @@ def nominal_goal(position, goal, u_max: float, deadband: float = 0.05) -> np.nda
 
 
 def build_constraint(evaluation: BarrierEvaluation,
-                     alpha: AlphaFunction) -> SafetyConstraint:
+                     alpha_slope: float) -> SafetyConstraint:
     """Assemble the halfspace from a barrier evaluation.
 
     With single-integrator lead dynamics the input gradient is the position
-    part of dh/dx and the offset collects dh/dt + alpha(h). Infeasible only
-    when the gradient vanishes while the offset is negative.
+    part of dh/dx and the offset collects dh/dt + alpha(h), with the linear
+    class-K gain alpha(h) = alpha_slope * h. Infeasible only when the
+    gradient vanishes while the offset is negative.
     """
     a = np.asarray(evaluation.grad_state[:2], dtype=float)
-    b = float(evaluation.time_derivative + alpha(evaluation.value))
+    b = float(evaluation.time_derivative + alpha_slope * evaluation.value)
     feasible = bool(math.hypot(a[0], a[1]) > 1e-9 or b >= 0.0)
     return SafetyConstraint(a=a, b=b, feasible=feasible)
 
@@ -174,10 +160,9 @@ def control_step(robot: RobotState, model: GpModel | None, velocities,
                                    params.v_max, params.omega_max)
         return control, None, diag
 
-    query = lead_point(robot, params.lead_offset) if params.evaluate_at_lead \
-        else robot.position
     start = time.perf_counter()
-    evaluation = barrier.evaluate_full(model, barrier_params, query,
+    evaluation = barrier.evaluate_full(model, barrier_params,
+                                       lead_point(robot, params.lead_offset),
                                        velocities, variant=params.variant)
     diag.barrier_ms = (time.perf_counter() - start) * 1e3
 
@@ -187,15 +172,12 @@ def control_step(robot: RobotState, model: GpModel | None, velocities,
                                    params.v_max, params.omega_max)
         return control, evaluation, diag
 
-    alpha = AlphaFunction(slope=params.alpha_slope)
-    constraint = build_constraint(evaluation, alpha)
-    start = time.perf_counter()
-    try:
-        u_lead = solve_safety_qp(u_nom, constraint)
-    except InfeasibleConstraint:
-        diag.qp_ms = (time.perf_counter() - start) * 1e3
+    constraint = build_constraint(evaluation, params.alpha_slope)
+    if not constraint.feasible:
         diag.fallback = "brake"
         return ControlInput(0.0, 0.0), evaluation, diag
+    start = time.perf_counter()
+    u_lead = solve_safety_qp(u_nom, constraint)
     diag.qp_ms = (time.perf_counter() - start) * 1e3
 
     diag.constraint_active = bool(float(constraint.a @ u_nom + constraint.b) < 0.0)

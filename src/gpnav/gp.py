@@ -66,14 +66,13 @@ class GpModel:
     """Fitted GP over 2D obstacle points with unit labels.
 
     chol_lower is the lower-triangular factor of cov + jitter*I and alpha
-    solves (cov + jitter*I) alpha = labels, so every formula written with an
+    solves (cov + jitter*I) alpha = 1, so every formula written with an
     explicit matrix inverse is evaluated through triangular solves instead.
     Raw LAPACK does not reject NaN or inf as SciPy's cho_factor/cho_solve
     did, so build_model and mean_terms check that their inputs are finite.
     """
 
     points: np.ndarray      # (N, 2) training inputs, global frame, meters
-    labels: np.ndarray      # (N,)
     params: KernelParams
     cov: np.ndarray         # (N, N) kernel matrix, jitter excluded
     chol_lower: np.ndarray  # (N, N) lower factor of cov + jitter*I
@@ -88,12 +87,12 @@ class GpModel:
         return dpotrs(self.chol_lower, rhs, lower=1)[0]
 
 
-def build_model(points, labels=None, params: KernelParams | None = None) -> GpModel:
+def build_model(points, params: KernelParams | None = None) -> GpModel:
     """Factorize the covariance of the point set and precompute the weights.
 
-    labels default to all ones. Raises FactorizationFailure when the jittered
+    Every point is labelled 1. Raises FactorizationFailure when the jittered
     covariance is not positive definite (duplicate points with zero jitter),
-    and ValueError on non-finite points or labels.
+    and ValueError on non-finite points.
     """
     params = params or KernelParams()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -102,14 +101,6 @@ def build_model(points, labels=None, params: KernelParams | None = None) -> GpMo
         raise ValueError("points must be a non-empty (N, 2) array")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    if labels is None:
-        y = np.ones(n)
-    else:
-        y = np.asarray(labels, dtype=float).reshape(-1)
-        if y.shape[0] != n:
-            raise ValueError("labels length must match point count")
-        if not np.isfinite(y).all():
-            raise ValueError("labels must be finite")
 
     diffs = pts[:, None, :] - pts[None, :, :]
     cov = _se_kernel(diffs, params)
@@ -120,8 +111,8 @@ def build_model(points, labels=None, params: KernelParams | None = None) -> GpMo
         raise FactorizationFailure(
             f"covariance of {n} points is not positive definite "
             "(duplicate or near-duplicate points; downsample the input)")
-    alpha = dpotrs(chol_lower, y, lower=1)[0]
-    return GpModel(points=pts, labels=y, params=params, cov=cov,
+    alpha = dpotrs(chol_lower, np.ones(n), lower=1)[0]
+    return GpModel(points=pts, params=params, cov=cov,
                    chol_lower=chol_lower, alpha=alpha)
 
 

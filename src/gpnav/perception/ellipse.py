@@ -67,8 +67,7 @@ class Ellipse:
         return float(np.pi * self.semi_major * self.semi_minor)
 
 
-def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000,
-             min_minor: float = DEFAULT_MIN_MINOR) -> Ellipse:
+def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000) -> Ellipse:
     """Fit the minimum-area enclosing ellipse of a non-empty (n, 2) cluster.
 
     The ascent runs on the strict convex-hull vertices only: an ellipse that
@@ -78,7 +77,8 @@ def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000,
     tolerance; every input point then lies inside the ellipse scaled by
     (1 + 10 * tolerance). A fit that exhausts max_iter first has both
     semi-axes grown until every point lies inside, and keeps its true gap.
-    Clusters of rank < 2 get a segment-aligned ellipse padded with min_minor.
+    Clusters of rank < 2 get a segment-aligned ellipse padded with
+    DEFAULT_MIN_MINOR.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -91,20 +91,20 @@ def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000,
     centered = pts - mean
     sv = np.linalg.svd(centered, compute_uv=False) if n > 1 else np.zeros(2)
     if n < 3 or sv[1] <= max(1e-9, 1e-7 * sv[0]):
-        return _degenerate_fit(pts, mean, centered, min_minor)
+        return _degenerate_fit(pts, mean, centered)
 
     try:
         moments, gap = _khachiyan_moments(_hull_vertices(centered), tolerance,
                                           max_iter)
     except np.linalg.LinAlgError:
-        return _degenerate_fit(pts, mean, centered, min_minor)
+        return _degenerate_fit(pts, mean, centered)
     sx, sy, sxx, sxy, syy = moments
     a, b, c = sxx - sx * sx, sxy - sx * sy, syy - sy * sy   # covariance S
     # (p-c)^T S^-1 (p-c) <= 2: semi-axes sqrt(2 * eig(S))
     major_eig = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
     minor_eig = (a * c - b * b) / major_eig
     if not minor_eig > 0.0:
-        return _degenerate_fit(pts, mean, centered, min_minor)
+        return _degenerate_fit(pts, mean, centered)
     ellipse = Ellipse(center=mean + (sx, sy),
                       semi_major=math.sqrt(2.0 * major_eig),
                       semi_minor=math.sqrt(2.0 * min(minor_eig, major_eig)),
@@ -195,12 +195,12 @@ def _khachiyan_moments(pts: list[tuple[float, float]], tolerance: float,
     return (sx, sy, sxx, sxy, syy), gap
 
 
-def _degenerate_fit(pts: np.ndarray, mean: np.ndarray, centered: np.ndarray,
-                    min_minor: float) -> Ellipse:
+def _degenerate_fit(pts: np.ndarray, mean: np.ndarray,
+                    centered: np.ndarray) -> Ellipse:
     """Segment-aligned padded ellipse for clusters of rank 0 or 1."""
     if len(pts) == 1 or not np.any(np.abs(centered) > 0.0):
-        return Ellipse(center=mean.copy(), semi_major=min_minor,
-                       semi_minor=min_minor, angle=0.0)
+        return Ellipse(center=mean.copy(), semi_major=DEFAULT_MIN_MINOR,
+                       semi_minor=DEFAULT_MIN_MINOR, angle=0.0)
     _, _, vt = np.linalg.svd(centered)
     direction = vt[0]
     offsets = centered @ direction
@@ -208,5 +208,5 @@ def _degenerate_fit(pts: np.ndarray, mean: np.ndarray, centered: np.ndarray,
     center = mean + direction * (lo + hi) / 2.0
     half = (hi - lo) / 2.0
     angle = _wrap_orientation(float(np.arctan2(direction[1], direction[0])))
-    return Ellipse(center=center, semi_major=half + min_minor,
-                   semi_minor=min_minor, angle=angle)
+    return Ellipse(center=center, semi_major=half + DEFAULT_MIN_MINOR,
+                   semi_minor=DEFAULT_MIN_MINOR, angle=angle)

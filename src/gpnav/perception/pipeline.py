@@ -21,18 +21,31 @@ FIT_MEMO_CAPACITY = 4096   # distinct cell patterns kept before the memo is clea
 
 
 @dataclass(frozen=True)
-class PerceptionParams:
-    grid: GridSpec = field(default_factory=GridSpec)
+class ClusteringParams:
     eps: float = 0.35              # m; above the 0.283 m cell diagonal so
     min_pts: int = 2               # adjacent cells of one obstacle connect
+
+    def __post_init__(self) -> None:
+        for name in ("eps", "min_pts"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+
+
+@dataclass(frozen=True)
+class PerceptionParams:
+    grid: GridSpec = field(default_factory=GridSpec)
+    clustering: ClusteringParams = field(default_factory=ClusteringParams)
     mvee_tolerance: float = 1e-4
     tracker: TrackerParams = field(default_factory=TrackerParams)
     dataset_cap: int = 60
 
     def __post_init__(self) -> None:
-        for name in ("eps", "mvee_tolerance", "min_pts", "dataset_cap"):
+        for name in ("mvee_tolerance", "dataset_cap"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        # dbscan's stencil grows with (eps / resolution)^2 cells
+        if not self.clustering.eps <= 10.0 * self.grid.resolution:
+            raise ValueError("clustering.eps must be <= 10 * grid.resolution")
 
 
 @dataclass
@@ -63,7 +76,7 @@ class PerceptionPipeline:
         """
         params = self.params
         grid = update_obstacle_grid(scan, robot, params.grid)
-        labels = dbscan(grid, params.eps, params.min_pts)
+        labels = dbscan(grid, params.clustering.eps, params.clustering.min_pts)
         count = int(labels.max()) + 1 if len(labels) else 0
         sizes = np.bincount(labels + 1, minlength=count + 1)   # noise first
         clustered = grid.cells[np.argsort(labels, kind="stable")[sizes[0]:]]

@@ -147,21 +147,19 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> ScenarioCo
     return _read(ScenarioConfig, data, "")
 
 
-def _read(cls, value, path: str, given: dict | None = None):
+def _read(cls, value, path: str):
     """Build a params dataclass from one YAML section.
 
     Each init field is one key, named as the field unless _RENAMES says
     otherwise, read by its annotation and left to the field's default when
-    absent. Fields in given are already built. The class checks its own
-    bounds; a ValueError it raises is reported under the section's path.
+    absent. The class checks its own bounds; a ValueError it raises is
+    reported under the section's path.
     """
     data = _mapping(value, path)
-    kwargs = dict(given or {})
+    kwargs = {}
     hints = get_type_hints(cls)
     renames = _RENAMES.get(cls, {})
     for f in fields(cls):
-        if f.name in kwargs:
-            continue
         key = renames.get(f.name, f.name)
         if key in data:
             kwargs[f.name] = _value(hints[f.name], data.pop(key), _join(path, key))
@@ -268,19 +266,6 @@ def _motion(value, path: str) -> MotionSpec:
     return _read(MotionSpec, data, path)
 
 
-def _perception(value, path: str) -> PerceptionParams:
-    """Perception reads eps and min_pts from its nested `clustering` section."""
-    data = _mapping(value, path)
-    cluster_path = f"{path}.clustering"
-    clustering = _mapping(data.pop("clustering", None), cluster_path)
-    hints = get_type_hints(PerceptionParams)
-    given = {name: _value(hints[name], clustering.pop(name), f"{cluster_path}.{name}")
-             for name in ("eps", "min_pts") if name in clustering}
-    _refuse_unknown(clustering, cluster_path)
-    _refuse_unknown(data.keys() & {"eps", "min_pts"}, path)
-    return _read(PerceptionParams, data, path, given)
-
-
 # YAML keys that differ from the field they fill
 _RENAMES = {ObstacleConfig: {"obstacle_id": "id"}, MotionSpec: {"kind": "type"},
             LidarSpec: {"beam_count": "beams"}}
@@ -289,4 +274,4 @@ _RENAMES = {ObstacleConfig: {"obstacle_id": "id"}, MotionSpec: {"kind": "type"},
 _READERS = {float: _float, int: _int, bool: _bool, str: _str,
             tuple[float, float]: _pair,
             tuple[ObstacleConfig, ...]: _obstacles,
-            MotionSpec: _motion, PerceptionParams: _perception}
+            MotionSpec: _motion}

@@ -482,9 +482,8 @@ class TestFixed9Format:
 
 @pytest.mark.parametrize("model", [
     None,
-    GpModel(points=np.empty((0, 2)), labels=np.empty(0), params=KERNEL,
-            cov=np.empty((0, 0)), chol_lower=np.empty((0, 0)),
-            alpha=np.empty(0)),
+    GpModel(points=np.empty((0, 2)), params=KERNEL, cov=np.empty((0, 0)),
+            chol_lower=np.empty((0, 0)), alpha=np.empty(0)),
 ], ids=["none", "size-0"])
 def test_export_field_refuses_an_empty_model(tmp_path, model):
     path = tmp_path / "field.csv"

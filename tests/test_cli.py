@@ -203,6 +203,17 @@ def test_bench_rejects_bad_input_with_usage_error(argv, message, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("cases", ["0", "-4"])
+def test_check_gradients_rejects_too_few_cases(cases, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-gradients", "--cases", cases])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --cases: {cases} is not >= 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--dump-field", "--dump-perception"])
 def test_run_dump_without_out_dir_exits_two(quick_scenario, flag, capsys):
     code = main(["run", str(quick_scenario), flag])

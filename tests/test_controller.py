@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gpnav.barrier import BarrierEvaluation, BarrierParams
-from gpnav.controller import (AlphaFunction, ControllerParams,
-                              InfeasibleConstraint, SafetyConstraint,
-                              build_constraint, control_step, lead_point,
-                              lead_to_unicycle, nominal_goal, solve_safety_qp)
+from gpnav.controller import (ControllerParams, InfeasibleConstraint,
+                              SafetyConstraint, build_constraint, control_step,
+                              lead_point, lead_to_unicycle, nominal_goal,
+                              solve_safety_qp)
 from gpnav.gp import KernelParams, build_model
 from gpnav.simworld import RobotState
 
@@ -59,28 +59,21 @@ class TestNominalGoal:
 
 class TestBuildConstraint:
     def test_static_scene_offset(self):
-        constraint = build_constraint(make_eval((1.0, 0.0), 0.0, 0.4),
-                                      AlphaFunction(0.2))
+        constraint = build_constraint(make_eval((1.0, 0.0), 0.0, 0.4), 0.2)
         assert constraint.b == pytest.approx(0.08, abs=1e-12)
         assert constraint.feasible
 
     def test_infeasible_zero_gradient_negative_offset(self):
-        constraint = build_constraint(make_eval((0.0, 0.0), -0.52, 0.1),
-                                      AlphaFunction(0.2))
+        constraint = build_constraint(make_eval((0.0, 0.0), -0.52, 0.1), 0.2)
         assert not constraint.feasible
 
     def test_boundary_approaching_forces_active_constraint(self):
         # h at the data boundary with a closing obstacle: b < 0, so any move
         # along the inward gradient direction is rejected
-        constraint = build_constraint(make_eval((2.0, 0.0), -0.5, -0.1),
-                                      AlphaFunction(0.2))
+        constraint = build_constraint(make_eval((2.0, 0.0), -0.5, -0.1), 0.2)
         assert constraint.b < 0.0
         toward = np.array([-1.0, 0.0]) * 0.8
         assert constraint.a @ toward + constraint.b < 0.0
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            AlphaFunction(0.0)
 
 
 class TestSolveQp:
@@ -231,17 +224,6 @@ class TestControlStep:
                 (10.0, -2.0))
             if diag.fallback == "":
                 assert diag.constraint_slack >= -1e-12
-
-    def test_evaluate_at_lead_switch(self):
-        robot = RobotState(0.0, 0.0, 0.0)
-        model = build_model([[1.0, 0.0]], params=self.KERNEL)
-        at_lead = control_step(robot, model, np.zeros((1, 2)), self.BARRIER,
-                               self.CONTROLLER, (10.0, 0.0))[1]
-        at_center = control_step(
-            robot, model, np.zeros((1, 2)), self.BARRIER,
-            ControllerParams(evaluate_at_lead=False), (10.0, 0.0))[1]
-        # lead point sits 0.3 m closer to the data: lower barrier value
-        assert at_lead.value < at_center.value
 
     def test_saturated_ignores_rounding_at_the_speed_limit(self):
         # a nominal command of norm u_max = v_max along the heading maps to

@@ -139,21 +139,15 @@ class TestBuildModel:
         rng = np.random.default_rng(3)
         model = random_model(rng, 12)
         target = model.cov + PARAMS.jitter * np.eye(12)
-        assert np.allclose(target @ model.alpha, model.labels, atol=1e-9)
+        assert np.allclose(target @ model.alpha, np.ones(12), atol=1e-9)
 
-    def test_label_length_mismatch(self):
-        with pytest.raises(ValueError):
-            build_model([[0.0, 0.0]], labels=[1.0, 1.0], params=PARAMS)
-
-    @pytest.mark.parametrize("points, labels", [
-        ([[0.0, 0.0], [np.nan, 1.0]], None),
-        ([[0.0, 0.0], [1.0, np.inf]], None),
-        ([[0.0, 0.0], [1.0, 1.0]], [1.0, np.nan]),
-        ([[0.0, 0.0], [1.0, 1.0]], [-np.inf, 1.0]),
-    ], ids=["nan-point", "inf-point", "nan-label", "inf-label"])
-    def test_non_finite_input_is_refused(self, points, labels):
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0], [np.nan, 1.0]],
+        [[0.0, 0.0], [1.0, np.inf]],
+    ], ids=["nan-point", "inf-point"])
+    def test_non_finite_input_is_refused(self, points):
         with pytest.raises(ValueError, match="finite"):
-            build_model(points, labels=labels, params=PARAMS)
+            build_model(points, params=PARAMS)
 
 
 class TestPredictiveMean:

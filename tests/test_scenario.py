@@ -14,7 +14,7 @@ from gpnav.cli import main
 from gpnav.controller import ControllerParams
 from gpnav.gp import KernelParams
 from gpnav.perception.grid import GridSpec
-from gpnav.perception.pipeline import PerceptionParams
+from gpnav.perception.pipeline import ClusteringParams, PerceptionParams
 from gpnav.perception.tracking import TrackerParams
 from gpnav.scenario import (GoalConfig, ObstacleConfig, ParseError, RobotConfig,
                             ScenarioConfig, ValidationError, build_world,
@@ -200,7 +200,7 @@ FULL = {
     ],
     "controller": {"alpha_slope": 0.3, "lead_offset": 0.25, "u_max": 0.7,
                    "v_max": 0.9, "omega_max": 1.5, "goal_deadband": 0.02,
-                   "evaluate_at_lead": False, "variant": "gp-linear"},
+                   "variant": "gp-linear"},
     "barrier": {"scale": 2.0, "margin_shift": 0.2, "mu_floor": 1.0e-11,
                 "linear_prior": 0.8},
     "kernel": {"length_scale": 0.8, "jitter": 1.0e-7},
@@ -262,12 +262,11 @@ def test_every_key_lands_in_its_field(tmp_path):
         name="full", goal=GoalConfig((4.0, -0.5), 0.25),
         robot=RobotConfig((-2.0, 0.5), 0.1), obstacles=obstacles, seed=7,
         dt=0.04, max_time=0.5,
-        controller=ControllerParams(0.3, 0.25, 0.7, 0.9, 1.5, 0.02, False,
-                                    "gp-linear"),
+        controller=ControllerParams(0.3, 0.25, 0.7, 0.9, 1.5, 0.02, "gp-linear"),
         barrier=BarrierParams(2.0, 0.2, 1e-11, 0.8),
         kernel=KernelParams(0.8, 1e-7),
         perception=PerceptionParams(
-            GridSpec(50, 40, 0.25), 0.4, 3, 1e-3,
+            GridSpec(50, 40, 0.25), ClusteringParams(0.4, 3), 1e-3,
             TrackerParams(0.9, 4, 3, 0.1, 2e-4, 2e-2, 0.2, 5e-4), 50),
         sensor=LidarSpec(90, 5.0, 0.01))
     assert scenario_from_dict(FULL) == expected
@@ -289,7 +288,8 @@ def test_every_schema_annotation_has_a_reader():
                      if is_dataclass(t) and t not in seen]
     assert seen == {ScenarioConfig, GoalConfig, RobotConfig, ObstacleConfig,
                     MotionSpec, ControllerParams, BarrierParams, KernelParams,
-                    PerceptionParams, GridSpec, TrackerParams, LidarSpec}
+                    PerceptionParams, ClusteringParams, GridSpec, TrackerParams,
+                    LidarSpec}
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -326,6 +326,11 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
     ("obstacles[0].radius", 1.0e160, "obstacles[0]: radius must be <= 1e3"),
     ("perception.grid.resolution", 1.0e300,
      "perception.grid: grid resolution must be <= 1e3"),
+    ("perception.clustering.eps", -0.5, "perception.clustering: eps must be > 0"),
+    ("perception.clustering.min_pts", 0,
+     "perception.clustering: min_pts must be > 0"),
+    ("perception.clustering.eps", 2.6,
+     "perception: clustering.eps must be <= 10 * grid.resolution"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -358,6 +363,10 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: KernelParams(length_scale=1.0e300), "length_scale must be <= 1e3"),
     (lambda: ObstacleConfig("a", 1.0e160, (0.0, 0.0)), "radius must be <= 1e3"),
     (lambda: GridSpec(resolution=1.0e300), "resolution must be <= 1e3"),
+    (lambda: ClusteringParams(eps=0.0), "eps must be > 0"),
+    (lambda: ClusteringParams(min_pts=0), "min_pts must be > 0"),
+    (lambda: PerceptionParams(clustering=ClusteringParams(eps=2.01)),
+     "clustering.eps must be <= 10"),
 ])
 def test_direct_construction_enforces_the_schema_bounds(build, field_name):
     with pytest.raises(ValueError, match=field_name):
@@ -372,6 +381,8 @@ def test_direct_construction_enforces_the_schema_bounds(build, field_name):
     ({"perception": {"eps": 0.3}}, "perception: unknown key 'eps'"),
     ({"perception": {"clustering": {"mvee_tolerance": 1.0e-3}}},
      "perception.clustering: unknown key 'mvee_tolerance'"),
+    ({"controller": {"evaluate_at_lead": False}},
+     "controller: unknown key 'evaluate_at_lead'"),
 ])
 def test_unknown_keys_are_refused(change, message):
     with pytest.raises(ValidationError) as info:

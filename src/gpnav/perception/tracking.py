@@ -5,9 +5,10 @@ a constant-acceleration model, as a (3, 2) state: rows pos, vel, acc and
 columns x, y. The noise densities are shared by both axes and a detection
 measures one position per axis, so the 6x6 covariance over [cx, cy, vx, vy,
 ax, ay] stays one 3x3 block P over (position, velocity, acceleration), shared
-by x and y. Association is a minimum-cost assignment on centre distances
-with a gate; gated-out pairs spawn new tracks and record misses. Only the
-centre velocity leaves the tracker, for the barrier's time derivative.
+by x and y. Association is an exact minimum-cost assignment on centre
+distances with a gate; gated-out pairs spawn new tracks and record misses.
+Only the centre velocity leaves the tracker, for the barrier's time
+derivative.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ellipse import Ellipse
 
@@ -88,6 +88,101 @@ def affinity_matrix(tracks: np.ndarray, detections: np.ndarray) -> np.ndarray:
     return np.linalg.norm(ct[:, None] - cd[None], axis=2)
 
 
+def min_cost_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum-cost assignment of an (n, m) matrix of finite costs.
+
+    Returns (rows, cols): min(n, m) pairs, rows ascending, as
+    scipy.optimize.linear_sum_assignment does. Non-finite costs raise
+    ValueError.
+
+    Every assignment pays at least each row's minimum (each column's when
+    n > m). So if the nearest columns of the rows are pairwise distinct,
+    taking them is optimal, and that settles most tracker frames. Otherwise
+    the rows that lost their nearest column are placed by shortest
+    augmenting paths (_augment).
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise ValueError("cost must be a 2-D array")
+    # 0 * c is 0 for every finite c, and NaN for NaN and for +-inf
+    flat = cost.ravel()
+    if not math.isfinite(flat.dot(np.zeros(flat.size))):
+        raise ValueError("cost must be finite")
+    if cost.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    by_column = cost.shape[0] > cost.shape[1]
+    nearest = cost.argmin(axis=0 if by_column else 1)
+    listed = nearest.tolist()
+    if len(set(listed)) < len(listed):
+        nearest = np.array(_augment(cost.T if by_column else cost, listed),
+                           dtype=np.intp)
+    if by_column:
+        order = nearest.argsort()
+        return nearest[order], order
+    return np.arange(len(listed)), nearest
+
+
+def _augment(cost: np.ndarray, nearest: list[int]) -> list[int]:
+    """Column of each row of an (n, m) cost with n <= m, at minimum total cost.
+
+    Shortest augmenting paths (Jonker-Volgenant, in the rectangular form of
+    Crouse, IEEE TAES 2016, which scipy uses), warm-started from the nearest
+    columns: duals u = row minima and v = 0, and each row takes its nearest
+    column where that column is still free. That start is dual feasible
+    (every reduced cost c - u - v >= 0, zero on each pair, v = 0 on free
+    columns), so only the rows left without a column are augmented, each by
+    one Dijkstra over the reduced costs, one vectorised step per column it
+    scans.
+    """
+    n, m = cost.shape
+    u = cost.min(axis=1)
+    v = np.zeros(m)
+    row4col = [-1] * m
+    col4row = [-1] * n
+    for i, j in enumerate(nearest):
+        if row4col[j] < 0:
+            row4col[j] = i
+            col4row[i] = j
+    for start in [i for i in range(n) if col4row[i] < 0]:
+        reduced = cost - u[:, None]
+        reduced -= v
+        lengths = np.empty((n, m))     # path lengths through each reached row
+        dist = np.full(m, np.inf)      # shortest length to each unscanned column
+        rows, scanned, reach = [], [], []
+        i, low = start, 0.0
+        while True:
+            length = lengths[len(rows)]
+            rows.append(i)
+            np.add(reduced[i], low, out=length)
+            np.minimum(dist, length, out=dist)
+            j = int(dist.argmin())
+            low = float(dist[j])
+            scanned.append(j)
+            reach.append(low)
+            reduced[:, j] = np.inf     # a scanned column is final
+            dist[j] = np.inf
+            i = row4col[j]
+            if i < 0:
+                break
+        # keep the reduced costs >= 0 and zero along the new pairs
+        u[start] += low
+        if len(rows) > 1:
+            shift = low - np.array(reach[:-1])
+            u[rows[1:]] += shift
+            v[scanned[:-1]] -= shift
+        # each column's predecessor is the first row that reached it at its
+        # final length; flip the pairs along the path back to the start
+        via = lengths[:len(rows)].argmin(axis=0).tolist()
+        j = scanned[-1]
+        while True:
+            i = rows[via[j]]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
 def associate(tracks: np.ndarray, detections: np.ndarray,
               d_max: float) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Minimum-cost assignment on center distance, gated at d_max.
@@ -101,7 +196,7 @@ def associate(tracks: np.ndarray, detections: np.ndarray,
     if len(tracks) == 0 or len(detections) == 0:
         return [], list(range(len(tracks))), list(range(len(detections)))
     cost = affinity_matrix(tracks, detections)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = min_cost_assignment(cost)
     matches = []
     matched_tracks: set[int] = set()
     matched_dets: set[int] = set()

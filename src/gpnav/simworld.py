@@ -123,6 +123,8 @@ class LidarSpec:
     def __post_init__(self) -> None:
         if not self.beam_count > 0:
             raise ValueError("beam_count must be > 0")
+        if not self.beam_count <= 7200:            # 0.05 degrees apart
+            raise ValueError("beam_count must be <= 7200")
         if not self.max_range > 0.0:
             raise ValueError("max_range must be > 0")
         if not self.noise_sigma >= 0.0:

@@ -11,14 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from gpnav.barrier import BarrierParams, evaluate, evaluate_full
 from gpnav.bench import bench_barrier, check_gradients
 from gpnav.episode import compare, comparison_json, run_episode
 from gpnav.gp import KernelParams, build_model
 from gpnav.perception.ellipse import Ellipse
-from gpnav.perception.tracking import TrackerParams, kalman_step, new_track
+from gpnav.perception.tracking import (TrackerParams, kalman_step,
+                                       min_cost_assignment, new_track)
 from gpnav.scenario import load_scenario, resolve_scenario, with_variant
 
 from conftest import pipeline_datasets
@@ -127,7 +127,7 @@ def test_criterion_05_assignment_brute_force_oracle():
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
         cost = rng.uniform(0.0, 10.0, (rows, cols))
-        ri, ci = linear_sum_assignment(cost)
+        ri, ci = min_cost_assignment(cost)
         total = float(cost[ri, ci].sum())
         if rows <= cols:
             best = min(sum(cost[i, p[i]] for i in range(rows))

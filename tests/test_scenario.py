@@ -322,6 +322,10 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
      "obstacles[2].motion: axis must be nonzero"),
     ("seed", -1, "seed must be >= 0"),
     ("sensor.beams", 0, "sensor: beams must be > 0"),
+    ("sensor.beams", 7201, "sensor: beams must be <= 7200"),
+    ("perception.grid.width", 1001, "perception.grid: grid width must be <= 1000"),
+    ("perception.grid.height", 1001,
+     "perception.grid: grid height must be <= 1000"),
     ("kernel.length_scale", 1.0e300, "kernel: length_scale must be <= 1e3"),
     ("obstacles[0].radius", 1.0e160, "obstacles[0]: radius must be <= 1e3"),
     ("perception.grid.resolution", 1.0e300,
@@ -363,6 +367,9 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: KernelParams(length_scale=1.0e300), "length_scale must be <= 1e3"),
     (lambda: ObstacleConfig("a", 1.0e160, (0.0, 0.0)), "radius must be <= 1e3"),
     (lambda: GridSpec(resolution=1.0e300), "resolution must be <= 1e3"),
+    (lambda: GridSpec(width=1001), "width must be <= 1000"),
+    (lambda: GridSpec(height=1001), "height must be <= 1000"),
+    (lambda: LidarSpec(beam_count=7201), "beam_count must be <= 7200"),
     (lambda: ClusteringParams(eps=0.0), "eps must be > 0"),
     (lambda: ClusteringParams(min_pts=0), "min_pts must be > 0"),
     (lambda: PerceptionParams(clustering=ClusteringParams(eps=2.01)),

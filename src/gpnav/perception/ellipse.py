@@ -5,8 +5,8 @@ ascent converges too slowly to reach tight tolerances within a bounded
 iteration budget), run on the cluster's convex-hull vertices only and written
 in Python floats: at a few dozen points a 3x3 adjugate per iteration costs
 less than the numpy calls it replaces. Rank-deficient clusters (single
-points, collinear cells) are padded to a minimum minor axis instead of
-failing.
+points, collinear cells), found from the closed-form eigenvalues of the
+2x2 Gram matrix, are padded to a minimum minor axis instead of failing.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000) -> Ellipse:
 
     mean = pts.mean(axis=0)
     centered = pts - mean
-    sv = np.linalg.svd(centered, compute_uv=False) if n > 1 else np.zeros(2)
-    if n < 3 or sv[1] <= max(1e-9, 1e-7 * sv[0]):
+    if n < 3 or _rank_deficient(centered):
         return _degenerate_fit(pts, mean, centered)
 
     try:
@@ -115,6 +114,18 @@ def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000) -> Ellipse:
         ellipse.semi_major *= grow
         ellipse.semi_minor *= grow
     return ellipse
+
+
+def _rank_deficient(centered: np.ndarray) -> bool:
+    """Whether centred points span less than a plane.
+
+    The eigenvalues of the 2x2 Gram matrix C^T C are the squared singular
+    values of C, so the test sigma_min <= max(1e-9, 1e-7 * sigma_max) reads
+    lambda_min <= max(1e-18, 1e-14 * lambda_max), in closed form.
+    """
+    (a, b), (_, c) = (centered.T @ centered).tolist()
+    mid, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    return mid - radius <= max(1e-18, 1e-14 * (mid + radius))
 
 
 def _hull_vertices(pts: np.ndarray) -> list[tuple[float, float]]:

@@ -91,8 +91,8 @@ class PerceptionPipeline:
         assignment = self.tracker.step(ellipses, dt)
         tracker_params = params.tracker
         velocity_grid = build_velocity_grid(labels, [
-            assignment[j].velocity(tracker_params.min_velocity_age,
-                                   tracker_params.min_speed)
+            assignment[j].velocity_pair(tracker_params.min_velocity_age,
+                                        tracker_params.min_speed)
             for j in range(count)])
         return PerceptionFrame(obstacle_grid=grid, velocity_grid=velocity_grid,
                                points=grid.points, labels=labels,
@@ -135,7 +135,7 @@ class PerceptionPipeline:
             "track_ids": frame.track_ids,
             "tracks": [{
                 "id": tr.track_id,
-                "state": tr.state.ravel().tolist(),   # cx, cy, vx, vy, ax, ay
+                "state": [tr.px, tr.py, tr.vx, tr.vy, tr.ax, tr.ay],
                 "age": tr.age,
                 "misses": tr.misses,
             } for tr in self.tracker.tracks],

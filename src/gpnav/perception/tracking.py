@@ -1,13 +1,14 @@
 """Frame-to-frame centre association and per-obstacle Kalman tracking.
 
 Each track estimates the centre's position, velocity and acceleration under
-a constant-acceleration model, as a (3, 2) state: rows pos, vel, acc and
-columns x, y. The noise densities are shared by both axes and a detection
-measures one position per axis, so the 6x6 covariance over [cx, cy, vx, vy,
-ax, ay] stays one 3x3 block P over (position, velocity, acceleration), shared
-by x and y. Association is an exact minimum-cost assignment on centre
-distances with a gate; gated-out pairs spawn new tracks and record misses.
-Only the centre velocity leaves the tracker, for the barrier's time
+a constant-acceleration model, as six floats [px, py, vx, vy, ax, ay]. The
+noise densities are shared by both axes and a detection measures one
+position per axis, so the 6x6 covariance over that state stays one 3x3
+block P over (position, velocity, acceleration), shared by x and y, and a
+track keeps only its six distinct entries. Association is an exact
+minimum-cost assignment on centre distances, over one stacked array of
+centres per frame, with a gate; gated-out pairs spawn new tracks and record
+misses. Only the centre velocity leaves the tracker, for the barrier's time
 derivative.
 """
 
@@ -45,47 +46,67 @@ class TrackerParams:
             raise ValueError("q_pos + r_center must be > 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrackedObstacle:
-    """One tracked obstacle centre; age counts absorbed measurement updates."""
+    """One tracked obstacle centre; age counts absorbed measurement updates.
+
+    The filter lives in Python floats: the state as six fields and the
+    shared 3x3 covariance block as its six distinct entries
+    (p00, p01, p02, p11, p12, p22) over (position, velocity, acceleration).
+    """
 
     track_id: int
-    state: np.ndarray              # (3, 2): rows pos, vel, acc; cols x, y
-    motion_cov: np.ndarray         # (3, 3) symmetric PSD, shared by x and y
+    px: float
+    py: float
+    cov: tuple[float, float, float, float, float, float]
+    vx: float = 0.0
+    vy: float = 0.0
+    ax: float = 0.0
+    ay: float = 0.0
     age: int = 0
     misses: int = 0
 
     @property
     def center(self) -> np.ndarray:
-        return self.state[0]
+        return np.array((self.px, self.py))
 
     def velocity(self, min_age: int = 2, min_speed: float = 0.0) -> np.ndarray:
+        """Estimated center velocity as a (2,) array; see velocity_pair."""
+        return np.array(self.velocity_pair(min_age, min_speed))
+
+    def velocity_pair(self, min_age: int = 2,
+                      min_speed: float = 0.0) -> tuple[float, float]:
         """Estimated center velocity; zero until the track has warmed up.
 
         Speeds below min_speed also report zero, so near-static obstacles do
         not inject phantom motion into the barrier's time derivative.
         """
-        if self.age < min_age:
-            return np.zeros(2)
-        estimate = self.state[1]
-        if math.hypot(*estimate.tolist()) < min_speed:
-            return np.zeros(2)
-        return estimate.copy()
+        if self.age < min_age or math.hypot(self.vx, self.vy) < min_speed:
+            return (0.0, 0.0)
+        return (self.vx, self.vy)
 
 
 def new_track(track_id: int, detection: Ellipse, params: TrackerParams) -> TrackedObstacle:
     """Start a track from a detection with unknown velocity and acceleration."""
-    state = np.zeros((3, 2))
-    state[0] = detection.center
-    return TrackedObstacle(track_id=track_id, state=state,
-                           motion_cov=np.diag([params.r_center, 1.0, 1.0]))
+    px, py = detection.center.tolist()
+    return TrackedObstacle(track_id=track_id, px=px, py=py,
+                           cov=(params.r_center, 0.0, 0.0, 1.0, 0.0, 1.0))
 
 
 def affinity_matrix(tracks: np.ndarray, detections: np.ndarray) -> np.ndarray:
-    """Center Euclidean distances, rows = tracks, cols = detections."""
+    """Center Euclidean distances, rows = tracks, cols = detections.
+
+    Computed as sqrt(dx * dx + dy * dy), which rounds exactly as
+    np.linalg.norm over the last axis of the (n, m, 2) differences.
+    """
     ct = np.asarray(tracks, dtype=float).reshape(-1, 2)
     cd = np.asarray(detections, dtype=float).reshape(-1, 2)
-    return np.linalg.norm(ct[:, None] - cd[None], axis=2)
+    dx = ct[:, 0, None] - cd[:, 0]
+    dy = ct[:, 1, None] - cd[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def min_cost_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
@@ -131,12 +152,14 @@ def _augment(cost: np.ndarray, nearest: list[int]) -> list[int]:
     column where that column is still free. That start is dual feasible
     (every reduced cost c - u - v >= 0, zero on each pair, v = 0 on free
     columns), so only the rows left without a column are augmented, each by
-    one Dijkstra over the reduced costs, one vectorised step per column it
-    scans.
+    one Dijkstra over the reduced costs. The scan runs over Python floats:
+    at tracker sizes a loop over one row costs less than the numpy calls
+    per scanned column, and each row is converted once, when first reached.
     """
     n, m = cost.shape
-    u = cost.min(axis=1)
-    v = np.zeros(m)
+    u = cost.min(axis=1).tolist()
+    v = [0.0] * m
+    costs: list[list[float] | None] = [None] * n
     row4col = [-1] * m
     col4row = [-1] * n
     for i, j in enumerate(nearest):
@@ -144,38 +167,43 @@ def _augment(cost: np.ndarray, nearest: list[int]) -> list[int]:
             row4col[j] = i
             col4row[i] = j
     for start in [i for i in range(n) if col4row[i] < 0]:
-        reduced = cost - u[:, None]
-        reduced -= v
-        lengths = np.empty((n, m))     # path lengths through each reached row
-        dist = np.full(m, np.inf)      # shortest length to each unscanned column
+        dist = [math.inf] * m          # shortest length to each column so far
+        via = [-1] * m                 # the first row to reach that length
+        unscanned = list(range(m))     # ascending, so ties go to the lowest
         rows, scanned, reach = [], [], []
         i, low = start, 0.0
         while True:
-            length = lengths[len(rows)]
             rows.append(i)
-            np.add(reduced[i], low, out=length)
-            np.minimum(dist, length, out=dist)
-            j = int(dist.argmin())
-            low = float(dist[j])
+            row, ui = costs[i], u[i]
+            if row is None:
+                row = costs[i] = cost[i].tolist()
+            best, j = math.inf, -1
+            for k in unscanned:
+                length = row[k] - ui - v[k] + low
+                if length < dist[k]:
+                    dist[k] = length
+                    via[k] = i
+                else:
+                    length = dist[k]
+                if length < best:
+                    best, j = length, k
+            low = best
+            unscanned.remove(j)        # a scanned column is final
             scanned.append(j)
             reach.append(low)
-            reduced[:, j] = np.inf     # a scanned column is final
-            dist[j] = np.inf
             i = row4col[j]
             if i < 0:
                 break
         # keep the reduced costs >= 0 and zero along the new pairs
         u[start] += low
-        if len(rows) > 1:
-            shift = low - np.array(reach[:-1])
-            u[rows[1:]] += shift
-            v[scanned[:-1]] -= shift
-        # each column's predecessor is the first row that reached it at its
-        # final length; flip the pairs along the path back to the start
-        via = lengths[:len(rows)].argmin(axis=0).tolist()
+        for i, j, length in zip(rows[1:], scanned, reach):
+            shift = low - length
+            u[i] += shift
+            v[j] -= shift
+        # flip the pairs along the path back to the start
         j = scanned[-1]
         while True:
-            i = rows[via[j]]
+            i = via[j]
             row4col[j] = i
             col4row[i], j = j, col4row[i]
             if i == start:
@@ -193,22 +221,19 @@ def associate(tracks: np.ndarray, detections: np.ndarray,
     Pairs whose distance exceeds the gate are severed: the detection becomes
     a new track and the track records a miss.
     """
-    if len(tracks) == 0 or len(detections) == 0:
-        return [], list(range(len(tracks))), list(range(len(detections)))
+    n, m = len(tracks), len(detections)
+    if n == 0 or m == 0:
+        return [], list(range(n)), list(range(m))
     cost = affinity_matrix(tracks, detections)
     rows, cols = min_cost_assignment(cost)
-    matches = []
-    matched_tracks: set[int] = set()
-    matched_dets: set[int] = set()
-    for i, j in zip(rows, cols):
-        if cost[i, j] > d_max:
-            continue
-        matches.append((int(i), int(j)))
-        matched_tracks.add(int(i))
-        matched_dets.add(int(j))
-    unmatched_tracks = [i for i in range(len(tracks)) if i not in matched_tracks]
-    unmatched_dets = [j for j in range(len(detections)) if j not in matched_dets]
-    return matches, unmatched_tracks, unmatched_dets
+    gated = (cost[rows, cols] <= d_max).tolist()
+    matches = [pair for pair, keep in zip(zip(rows.tolist(), cols.tolist()), gated)
+               if keep]
+    track_free, det_free = [True] * n, [True] * m
+    for i, j in matches:
+        track_free[i] = det_free[j] = False
+    return (matches, [i for i in range(n) if track_free[i]],
+            [j for j in range(m) if det_free[j]])
 
 
 def kalman_step(track: TrackedObstacle, detection: Ellipse | None, dt: float,
@@ -227,8 +252,9 @@ def kalman_step(track: TrackedObstacle, detection: Ellipse | None, dt: float,
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     half = 0.5 * dt * dt
-    (px, py), (vx, vy), (ax, ay) = track.state.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = track.motion_cov.tolist()
+    px, py, vx, vy, ax, ay = (track.px, track.py, track.vx, track.vy,
+                              track.ax, track.ay)
+    p00, p01, p02, p11, p12, p22 = track.cov
     px, py = px + dt * vx + half * ax, py + dt * vy + half * ay
     vx, vy = vx + dt * ax, vy + dt * ay
     # F P F^T: first the rows of F P, then the columns of (F P) F^T
@@ -255,8 +281,9 @@ def kalman_step(track: TrackedObstacle, detection: Ellipse | None, dt: float,
             c11 - k1 * c01, c12 - k1 * c02, c22 - k2 * c02)
         track.age += 1
         track.misses = 0
-    track.state[:] = ((px, py), (vx, vy), (ax, ay))
-    track.motion_cov = np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]])
+    track.px, track.py, track.vx, track.vy, track.ax, track.ay = (
+        px, py, vx, vy, ax, ay)
+    track.cov = (c00, c01, c02, c11, c12, c22)
     return track
 
 
@@ -272,18 +299,19 @@ class ObstacleTracker:
         """Advance all tracks one frame; returns detection index -> track."""
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
+        tracks = self.tracks
+        # two coordinate rows, viewed as (n, 2): faster than n (x, y) pairs
+        centres = np.array([[t.px for t in tracks], [t.py for t in tracks]]).T
         matches, unmatched_tracks, unmatched_dets = associate(
-            [t.center for t in self.tracks], [d.center for d in detections],
-            self.params.d_max)
+            centres, np.array([d.center for d in detections]), self.params.d_max)
 
         assignment: dict[int, TrackedObstacle] = {}
         for ti, dj in matches:
-            assignment[dj] = kalman_step(self.tracks[ti], detections[dj],
-                                         dt, self.params)
+            assignment[dj] = kalman_step(tracks[ti], detections[dj], dt,
+                                         self.params)
         for ti in unmatched_tracks:
-            kalman_step(self.tracks[ti], None, dt, self.params)
-        self.tracks = [t for t in self.tracks
-                       if t.misses < self.params.max_misses]
+            kalman_step(tracks[ti], None, dt, self.params)
+        self.tracks = [t for t in tracks if t.misses < self.params.max_misses]
         for dj in unmatched_dets:
             track = new_track(self._next_id, detections[dj], self.params)
             self._next_id += 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gpnav.perception.ellipse import Ellipse, _hull_vertices, fit_mvee
+from gpnav.perception.ellipse import (Ellipse, _hull_vertices, _rank_deficient,
+                                      fit_mvee)
 
 CONTAIN_SCALE = 1.0 + 10 * 1e-4
 
@@ -204,6 +205,50 @@ def test_lattice_fits_match_reference_ascent(seed):
         assert ellipse.area() == pytest.approx(ref_area, rel=1e-5)
         fitted += 1
     assert fitted >= 8
+
+
+def svd_rank_deficient(points):
+    """The reference rank test: sigma_min <= max(1e-9, 1e-7 * sigma_max)."""
+    sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return bool(sv[1] <= max(1e-9, 1e-7 * sv[0]))
+
+
+def rank_test_clusters(rng):
+    """(kind, points): lattice bars, L-shapes and random patterns as the
+    pipeline fits them, and near-collinear or tiny float clusters."""
+    for length in (3, 4, 9, 40):
+        for step in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1)):
+            bar = np.arange(length)[:, None] * np.array(step)
+            foot = bar[-1] + (-step[1], step[0])
+            for cells, kind in ((bar, "bar"), (np.vstack([bar, foot]), "L")):
+                yield kind, 0.2 * (cells - cells.min(axis=0) + 0.5)
+                yield kind, 0.2 * (cells + rng.integers(-300, 300, 2) + 0.5)
+    for size in range(3, 60):
+        yield "pattern", 0.2 * (random_lattice_pattern(rng, size) + 0.5)
+    for offset in (1e-2, 1e-4, 1e-5, 1e-9, 1e-11, 1e-14, 0.0):
+        for count in (3, 10, 50):
+            along = rng.uniform(-2.0, 2.0, count)
+            across = offset * rng.normal(size=count)
+            angle = rng.uniform(-np.pi, np.pi)
+            axes = np.array([[np.cos(angle), np.sin(angle)],
+                             [-np.sin(angle), np.cos(angle)]])
+            yield "float", (np.column_stack([along, across]) @ axes
+                            + rng.uniform(-50.0, 50.0, 2))
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    for scale in (1e-6, 1e-10):
+        yield "tiny", scale * square
+    yield "repeated", np.full((5, 2), 0.7)
+
+
+def test_closed_form_rank_test_matches_svd():
+    decisions = {}
+    for kind, points in rank_test_clusters(np.random.default_rng(9)):
+        expected = svd_rank_deficient(points)
+        assert _rank_deficient(points - points.mean(axis=0)) == expected, kind
+        decisions.setdefault(kind, set()).add(expected)
+    assert decisions["bar"] == decisions["repeated"] == {True}
+    assert decisions["L"] == decisions["pattern"] == {False}
+    assert decisions["float"] == decisions["tiny"] == {True, False}
 
 
 def test_hull_drops_edge_points_and_ignores_order():

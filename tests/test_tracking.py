@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment   # the oracle, in tests only
 
 from gpnav.perception import tracking
@@ -83,6 +84,17 @@ def random_detection(rng, near):
     return Ellipse(center=near + rng.normal(0.0, 0.05, 2), semi_major=semi_major,
                    semi_minor=semi_major * float(rng.uniform(0.2, 1.0)),
                    angle=float(rng.uniform(-np.pi / 2, np.pi / 2)))
+
+
+def state_vector(track):
+    """[cx, cy, vx, vy, ax, ay] of a track."""
+    return np.array([track.px, track.py, track.vx, track.vy, track.ax, track.ay])
+
+
+def cov_matrix(track):
+    """The symmetric 3x3 block P from a track's six distinct entries."""
+    p00, p01, p02, p11, p12, p22 = track.cov
+    return np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
 
 
 def dense_step(state, cov, detection, dt, params):
@@ -179,6 +191,17 @@ class TestAssociate:
             for j, det in enumerate(dets):
                 reference[i, j] = float(np.linalg.norm(track - det))
         assert np.max(np.abs(affinity_matrix(tracks, dets) - reference)) <= 1e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 25), st.integers(0, 25), st.data())
+    def test_affinity_equals_norm_bit_for_bit(self, n, m, data):
+        coordinates = st.floats(-1e6, 1e6, allow_nan=False)
+        ct = data.draw(arrays(float, (n, 2), elements=coordinates))
+        cd = data.draw(arrays(float, (m, 2), elements=coordinates))
+        reference = np.linalg.norm(ct[:, None] - cd[None], axis=2)
+        # the tracker passes its centres as a transposed (2, n) array
+        for tracks in (ct, np.array(ct.T).T):
+            assert np.array_equal(affinity_matrix(tracks, cd), reference)
 
     def test_affinity_of_empty_lists(self):
         none, one = np.zeros((0, 2)), np.zeros((1, 2))
@@ -294,9 +317,9 @@ class TestKalman:
 
     def test_predict_only_grows_covariance_trace(self):
         track = new_track(0, circle(1.0, 1.0), PARAMS)
-        before = np.trace(track.motion_cov)
+        before = np.trace(cov_matrix(track))
         kalman_step(track, None, 0.05, PARAMS)
-        assert np.trace(track.motion_cov) > before
+        assert np.trace(cov_matrix(track)) > before
         assert track.misses == 1
 
     def test_seeded_noisy_velocity_within_tolerance(self):
@@ -316,8 +339,7 @@ class TestKalman:
         for k in range(30):
             det = circle(*rng.uniform(-0.1, 0.1, 2)) if k % 4 else None
             kalman_step(track, det, 0.05, PARAMS)
-            assert np.allclose(track.motion_cov, track.motion_cov.T, atol=1e-12)
-            assert np.linalg.eigvalsh(track.motion_cov).min() >= -1e-12
+            assert np.linalg.eigvalsh(cov_matrix(track)).min() >= -1e-12
 
     def test_matches_dense_six_state_filter(self):
         rng = np.random.default_rng(11)
@@ -327,7 +349,7 @@ class TestKalman:
                                    r_center=noise[3])
             center = np.zeros(2)
             track = new_track(0, random_detection(rng, center), params)
-            state = track.state.flatten()
+            state = state_vector(track)
             cov = np.diag([params.r_center] * 2 + [1.0] * 4)
             for _ in range(40):
                 dt = float(rng.uniform(0.01, 0.3))
@@ -337,8 +359,8 @@ class TestKalman:
                 kalman_step(track, detection, dt, params)
                 state, cov = dense_step(state, cov, detection, dt, params)
                 denom = np.maximum(np.abs(state), 1.0)
-                assert np.max(np.abs(track.state.ravel() - state) / denom) <= 1e-9
-                reduced = np.kron(track.motion_cov, np.eye(2))
+                assert np.max(np.abs(state_vector(track) - state) / denom) <= 1e-9
+                reduced = np.kron(cov_matrix(track), np.eye(2))
                 scale = np.max(np.abs(cov))
                 assert np.max(np.abs(reduced - cov)) <= 1e-9 * scale
 
@@ -353,7 +375,7 @@ class TestKalman:
                                    r_center=noise[3])
             center = np.zeros(2)
             track = new_track(0, random_detection(rng, center), params)
-            state, cov = track.state.copy(), track.motion_cov.copy()
+            state, cov = state_vector(track).reshape(3, 2), cov_matrix(track)
             for _ in range(40):
                 dt = float(rng.uniform(0.01, 0.3))
                 center = center + rng.normal(0.0, 0.2, 2)
@@ -361,11 +383,10 @@ class TestKalman:
                              if rng.random() < 0.7 else None)
                 kalman_step(track, detection, dt, params)
                 state, cov = block_step(state, cov, detection, dt, params)
-                assert np.max(np.abs(track.state - state)
+                assert np.max(np.abs(state_vector(track).reshape(3, 2) - state)
                               / np.maximum(np.abs(state), 1.0)) <= 1e-10
-                assert (np.max(np.abs(track.motion_cov - cov))
+                assert (np.max(np.abs(cov_matrix(track) - cov))
                         <= 1e-10 * np.max(np.abs(cov)))
-                assert np.array_equal(track.motion_cov, track.motion_cov.T)
 
     def test_dt_validation(self):
         track = new_track(0, circle(0.0, 0.0), PARAMS)
@@ -407,9 +428,9 @@ class TestTracker:
         params = TrackerParams(min_speed=0.2)
         track = new_track(0, circle(0.0, 0.0), params)
         track.age = 5
-        track.state[1] = [0.05, 0.05]
+        track.vx, track.vy = 0.05, 0.05
         assert np.allclose(track.velocity(2, params.min_speed), 0.0)
-        track.state[1] = [0.5, 0.0]
+        track.vx, track.vy = 0.5, 0.0
         assert np.allclose(track.velocity(2, params.min_speed), [0.5, 0.0])
 
     def test_track_dropped_after_five_misses(self):

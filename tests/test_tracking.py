@@ -199,7 +199,7 @@ class TestAssociate:
         ct = data.draw(arrays(float, (n, 2), elements=coordinates))
         cd = data.draw(arrays(float, (m, 2), elements=coordinates))
         reference = np.linalg.norm(ct[:, None] - cd[None], axis=2)
-        # the tracker passes its centres as a transposed (2, n) array
+        # the tracker passes its centres as the transpose of a (2, n) array
         for tracks in (ct, np.array(ct.T).T):
             assert np.array_equal(affinity_matrix(tracks, cd), reference)
 

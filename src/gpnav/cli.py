@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .barrier import VARIANTS
 from .bench import bench_barrier, check_gradients
-from .episode import compare, comparison_json, comparison_table, run_episode
+from .episode import (RunFiles, compare, comparison_json, comparison_table,
+                      run_episode)
 from .gp import FactorizationFailure
 from .scenario import (ParseError, ValidationError, load_scenario,
                        resolve_scenario, with_variant)
@@ -107,9 +108,10 @@ def _cmd_run(args) -> int:
     cfg = _load(args)
     if args.variant is not None:
         cfg = with_variant(cfg, args.variant)
-    _, metrics = run_episode(cfg, out_dir=args.out_dir,
-                             dump_field=args.dump_field,
-                             dump_perception=args.dump_perception)
+    files = RunFiles(args.dump_field, args.dump_perception)
+    log, metrics = run_episode(cfg, on_step=files)
+    if args.out_dir is not None:
+        files.write(args.out_dir, cfg, log, metrics)
     print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
     return 1 if metrics.collision or metrics.timed_out else 0
 

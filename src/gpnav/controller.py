@@ -149,39 +149,35 @@ def control_step(robot: RobotState, model: GpModel | None, velocities,
 
     Falls back to the nominal command when there is no data or the query sits
     in a clamped region (safe by distance), and to braking when the
-    constraint is infeasible.
+    constraint is infeasible. Every other command leaves through one exit:
+    the lead velocity mapped to (v, omega), clipped and flagged if clipped.
     """
     diag = ControlDiagnostics()
-    u_nom = nominal_goal((robot.x, robot.y), goal, params.u_max, params.goal_deadband)
-
+    u_nom = u_lead = nominal_goal((robot.x, robot.y), goal, params.u_max,
+                                  params.goal_deadband)
+    evaluation = None
     if model is None or model.size == 0:
         diag.fallback = "empty"
-        control = lead_to_unicycle(u_nom, robot.theta, params.lead_offset,
-                                   params.v_max, params.omega_max)
-        return control, None, diag
+    else:
+        start = time.perf_counter()
+        evaluation = barrier.evaluate_full(model, barrier_params,
+                                           lead_point(robot, params.lead_offset),
+                                           velocities, variant=params.variant)
+        diag.barrier_ms = (time.perf_counter() - start) * 1e3
+        if evaluation.clamped:
+            diag.fallback = "clamped"
 
-    start = time.perf_counter()
-    evaluation = barrier.evaluate_full(model, barrier_params,
-                                       lead_point(robot, params.lead_offset),
-                                       velocities, variant=params.variant)
-    diag.barrier_ms = (time.perf_counter() - start) * 1e3
+    if not diag.fallback:
+        constraint = build_constraint(evaluation, params.alpha_slope)
+        if not constraint.feasible:
+            diag.fallback = "brake"
+            return ControlInput(0.0, 0.0), evaluation, diag
+        start = time.perf_counter()
+        u_lead = solve_safety_qp(u_nom, constraint)
+        diag.qp_ms = (time.perf_counter() - start) * 1e3
+        diag.constraint_active = bool(float(constraint.a @ u_nom + constraint.b) < 0.0)
+        diag.constraint_slack = float(constraint.a @ u_lead + constraint.b)
 
-    if evaluation.clamped:
-        diag.fallback = "clamped"
-        control = lead_to_unicycle(u_nom, robot.theta, params.lead_offset,
-                                   params.v_max, params.omega_max)
-        return control, evaluation, diag
-
-    constraint = build_constraint(evaluation, params.alpha_slope)
-    if not constraint.feasible:
-        diag.fallback = "brake"
-        return ControlInput(0.0, 0.0), evaluation, diag
-    start = time.perf_counter()
-    u_lead = solve_safety_qp(u_nom, constraint)
-    diag.qp_ms = (time.perf_counter() - start) * 1e3
-
-    diag.constraint_active = bool(float(constraint.a @ u_nom + constraint.b) < 0.0)
-    diag.constraint_slack = float(constraint.a @ u_lead + constraint.b)
     control = lead_to_unicycle(u_lead, robot.theta, params.lead_offset,
                                params.v_max, params.omega_max)
     raw = lead_to_unicycle(u_lead, robot.theta, params.lead_offset)

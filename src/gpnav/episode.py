@@ -18,9 +18,13 @@ import numpy as np
 
 from . import barrier
 from .controller import control_step
+from .gp import GpModel
 from .perception.pipeline import PerceptionPipeline
 from .scenario import ScenarioConfig, ValidationError, build_world, with_variant
 from .simworld import RobotState, cast_lidar, step_dynamics
+
+FIELD_MAX_ROWS = 1_000_000   # barrier_field.csv rows; a larger window is skipped
+
 
 def _csv(spec: str):
     """A trajectory.csv column written with format(value, spec)."""
@@ -69,11 +73,6 @@ class TrajectoryLog:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(s, name) for s in self.steps], dtype=float)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(_CSV_HEADER)
-            handle.writelines(_CSV_ROW.format(s) for s in self.steps)
-
 
 def _json(digits: int, timing: bool = False):
     """A metrics.json number rounded to digits; inf is written as null."""
@@ -110,16 +109,13 @@ class Metrics:
         return data
 
 
-def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
-                dump_perception: bool = False) -> tuple[TrajectoryLog, Metrics]:
+def run_episode(cfg: ScenarioConfig, on_step=None) -> tuple[TrajectoryLog, Metrics]:
     """Run one closed-loop episode until collision, arrival or timeout.
 
-    Each step checks them in that order, after logging the step.
-
-    With out_dir set, writes trajectory.csv and metrics.json, plus the
-    optional barrier-field grid (final frame's model) and per-frame
-    perception JSON-lines. When no frame saw an obstacle there is no model
-    to export: the field is not written, and a warning says so on stderr.
+    Each step checks them in that order, after logging the step. on_step,
+    when given, is called once per logged step as
+    on_step(step, pipeline, frame, model), with the TrajectoryStep just
+    logged and the step's barrier model (None when no obstacle was seen).
     """
     world = build_world(cfg)
     robot = RobotState(x=cfg.robot.start[0], y=cfg.robot.start[1],
@@ -129,8 +125,6 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
     goal = np.asarray(cfg.goal.position, dtype=float)
 
     log = TrajectoryLog()
-    perception_records: list[dict] = []
-    last_model = None
     arrival_time: float | None = None
 
     max_steps = int(round(cfg.max_time / cfg.dt))
@@ -143,16 +137,12 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
 
         scan = cast_lidar(world, robot, cfg.sensor, rng)
         frame = pipeline.process(scan, robot, cfg.dt)
-        if dump_perception:
-            perception_records.append(pipeline.debug_record(frame, t))
 
         build_start = time.perf_counter()
         points, velocities = barrier.build_datasets(
             frame.obstacle_grid, frame.velocity_grid, cfg.perception.dataset_cap)
         model = barrier.model_from_datasets(points, cfg.kernel)
         build_ms = (time.perf_counter() - build_start) * 1e3
-        if model is not None:
-            last_model = model
 
         control, evaluation, diag = control_step(
             robot, model, velocities, cfg.barrier, cfg.controller, goal)
@@ -172,6 +162,8 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
             qp_time_ms=diag.qp_ms,
             fallback=diag.fallback,
         ))
+        if on_step is not None:
+            on_step(log.steps[-1], pipeline, frame, model)
 
         if clearance <= 0.0:
             break
@@ -184,28 +176,57 @@ def run_episode(cfg: ScenarioConfig, out_dir=None, dump_field: bool = False,
         robot = step_dynamics(robot, control, cfg.dt)
         world.advance(cfg.dt)
 
-    metrics = compute_metrics(log, arrival_time)
-    if out_dir is not None:
+    return log, compute_metrics(log, arrival_time)
+
+
+@dataclass
+class RunFiles:
+    """A run's out-dir: trajectory.csv, metrics.json and, when asked,
+    barrier_field.csv (the last model's points +- 2 m at 0.1 m; skipped with
+    one line on stderr when there is no model or over FIELD_MAX_ROWS rows)
+    and perception.jsonl. As run_episode's on_step it keeps what they need."""
+
+    dump_field: bool = False
+    dump_perception: bool = False
+    last_model: GpModel | None = None
+    perception_records: list[dict] = field(default_factory=list)
+
+    def __call__(self, step: TrajectoryStep, pipeline, frame, model) -> None:
+        if self.dump_perception:
+            self.perception_records.append(pipeline.debug_record(frame, step.t))
+        if model is not None:
+            self.last_model = model
+
+    def write(self, out_dir, cfg: ScenarioConfig, log: TrajectoryLog,
+              metrics: Metrics) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        log.write_csv(out / "trajectory.csv")
+        with open(out / "trajectory.csv", "w") as handle:
+            handle.write(_CSV_HEADER)
+            handle.writelines(_CSV_ROW.format(s) for s in log.steps)
         (out / "metrics.json").write_text(
             json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
-        if dump_field and last_model is None:
+        model = self.last_model
+        if self.dump_field and model is None:
             print("warning: barrier_field.csv not written: no frame of the "
                   "episode observed an obstacle, so there is no barrier model "
                   "to export", file=sys.stderr)
-        elif dump_field:
-            lo = np.min(last_model.points, axis=0) - 2.0
-            hi = np.max(last_model.points, axis=0) + 2.0
-            barrier.export_field(last_model, cfg.barrier, out / "barrier_field.csv",
-                                 (float(lo[0]), float(hi[0])),
-                                 (float(lo[1]), float(hi[1])), resolution=0.1)
-        if dump_perception:
+        elif self.dump_field:
+            lo = (np.min(model.points, axis=0) - 2.0).tolist()
+            hi = (np.max(model.points, axis=0) + 2.0).tolist()
+            # the lengths of export_field's np.arange axes, without building them
+            rows = math.prod(math.ceil((b + 0.5 * 0.1 - a) / 0.1)
+                             for a, b in zip(lo, hi))
+            if rows > FIELD_MAX_ROWS:
+                print(f"warning: barrier_field.csv not written: its window would "
+                      f"hold {rows:,} rows, over {FIELD_MAX_ROWS:,}", file=sys.stderr)
+            else:
+                barrier.export_field(model, cfg.barrier, out / "barrier_field.csv",
+                                     (lo[0], hi[0]), (lo[1], hi[1]), resolution=0.1)
+        if self.dump_perception:
             with open(out / "perception.jsonl", "w") as handle:
-                for record in perception_records:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return log, metrics
+                handle.writelines(json.dumps(record, sort_keys=True) + "\n"
+                                  for record in self.perception_records)
 
 
 def compute_metrics(log: TrajectoryLog,
@@ -239,6 +260,9 @@ def compute_metrics(log: TrajectoryLog,
 
 def compare(cfg: ScenarioConfig, variants: list[str]) -> dict[str, Metrics]:
     """Run each controller variant on the identically seeded scenario."""
+    for i, variant in enumerate(variants):
+        if variant in variants[:i]:
+            raise ValidationError(f"compare: variant {variant!r} is given twice")
     if len(variants) < 2:
         raise ValidationError("compare requires at least 2 variants")
     results: dict[str, Metrics] = {}

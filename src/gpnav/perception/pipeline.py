@@ -91,8 +91,8 @@ class PerceptionPipeline:
         assignment = self.tracker.step(ellipses, dt)
         tracker_params = params.tracker
         velocity_grid = build_velocity_grid(labels, [
-            assignment[j].velocity_pair(tracker_params.min_velocity_age,
-                                        tracker_params.min_speed)
+            assignment[j].velocity(tracker_params.min_velocity_age,
+                                   tracker_params.min_speed)
             for j in range(count)])
         return PerceptionFrame(obstacle_grid=grid, velocity_grid=velocity_grid,
                                points=grid.points, labels=labels,

@@ -66,16 +66,8 @@ class TrackedObstacle:
     age: int = 0
     misses: int = 0
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array((self.px, self.py))
-
-    def velocity(self, min_age: int = 2, min_speed: float = 0.0) -> np.ndarray:
-        """Estimated center velocity as a (2,) array; see velocity_pair."""
-        return np.array(self.velocity_pair(min_age, min_speed))
-
-    def velocity_pair(self, min_age: int = 2,
-                      min_speed: float = 0.0) -> tuple[float, float]:
+    def velocity(self, min_age: int = 2,
+                 min_speed: float = 0.0) -> tuple[float, float]:
         """Estimated center velocity; zero until the track has warmed up.
 
         Speeds below min_speed also report zero, so near-static obstacles do

@@ -14,7 +14,7 @@ import pytest
 
 from gpnav.barrier import BarrierParams, evaluate, evaluate_full
 from gpnav.bench import bench_barrier, check_gradients
-from gpnav.episode import compare, comparison_json, run_episode
+from gpnav.episode import RunFiles, compare, comparison_json, run_episode
 from gpnav.gp import KernelParams, build_model
 from gpnav.perception.ellipse import Ellipse
 from gpnav.perception.tracking import (TrackerParams, kalman_step,
@@ -38,8 +38,9 @@ def suite_runs(tmp_path_factory):
     for name in SUITE:
         cfg = load_scenario(resolve_scenario(name))
         out = root / name
-        runs[(name, "dlgp")] = run_episode(cfg, out_dir=out,
-                                           dump_perception=True)
+        files = RunFiles(dump_perception=True)
+        runs[(name, "dlgp")] = run_episode(cfg, on_step=files)
+        files.write(out, cfg, *runs[(name, "dlgp")])
         runs[(name, "dlgp", "out_dir")] = out
     for name in TREND_SCENARIOS:
         cfg = with_variant(load_scenario(resolve_scenario(name)), "dlgp-no-dhdt")

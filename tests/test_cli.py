@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -59,10 +60,48 @@ def test_run_writes_outputs_and_exits_zero(quick_scenario, tmp_path, capsys):
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["collision"] is False
+    header = (out / "trajectory.csv").read_text().splitlines()[0]
+    assert header.split(",")[:6] == ["t", "px", "py", "theta", "v", "omega"]
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert "min_clearance" in metrics and "arrival_time" in metrics
+    assert (out / "barrier_field.csv").read_bytes().startswith(b"x,y,h\r\n")
+    first_frame = json.loads(
+        (out / "perception.jsonl").read_text().splitlines()[0])
+    assert {"t", "occupied_cells", "labels", "ellipses",
+            "track_ids", "tracks"} <= set(first_frame)
+
+
+def test_dump_field_skips_a_window_over_the_row_limit(tmp_path, monkeypatch,
+                                                      capsys):
+    # a 2 km window at 10 m cells, obstacles near two corners and a LiDAR
+    # that reaches them: the field would span about 2e8 rows at 0.1 m, so
+    # it is skipped before export_field could allocate it
+    path = tmp_path / "wide.yaml"
+    path.write_text(QUICK_SCENARIO.split("obstacles:")[0]
+                    .replace("max_time: 15.0", "max_time: 0.05") + """\
+sensor: {max_range: 1500.0}
+perception:
+  grid: {width: 200, height: 200, resolution: 10.0}
+obstacles:
+  - {id: ne, radius: 20.0, center: [700.0, 700.0]}
+  - {id: sw, radius: 20.0, center: [-700.0, -700.0]}
+""")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("export_field called on an oversized window")
+
+    monkeypatch.setattr("gpnav.barrier.export_field", refuse)
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out-dir", str(out), "--dump-field"])
+    captured = capsys.readouterr()
+    assert code == 1   # timed out: the exit code stays outcome-based
+    assert json.loads(captured.out)["timed_out"] is True
     assert (out / "trajectory.csv").exists()
-    assert (out / "metrics.json").exists()
-    assert (out / "barrier_field.csv").exists()
-    assert (out / "perception.jsonl").exists()
+    assert not (out / "barrier_field.csv").exists()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning: barrier_field.csv not written: ")
+    assert re.search(r"its window would hold [\d,]{11,} rows, over 1,000,000$",
+                     captured.err.strip())
 
 
 def test_dump_field_without_obstacles_says_why(tmp_path, capsys):
@@ -170,6 +209,17 @@ def test_compare_single_variant_errors(quick_scenario, capsys):
     code = main(["compare", str(quick_scenario), "--variants", "dlgp"])
     assert code == 2
     assert "variant" in capsys.readouterr().err
+
+
+def test_compare_duplicate_variant_errors(quick_scenario, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = main(["compare", str(quick_scenario), "--variants", "dlgp,dlgp",
+                 "--out-dir", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: compare: variant 'dlgp' is given twice\n"
+    assert not out.exists()
 
 
 def test_check_gradients_reports(capsys):

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gpnav.episode import (TrajectoryLog, TrajectoryStep, compare,
+from gpnav.episode import (RunFiles, TrajectoryLog, TrajectoryStep, compare,
                            comparison_json, comparison_table, compute_metrics,
                            run_episode)
 from gpnav.scenario import ValidationError, scenario_from_dict
@@ -93,41 +93,57 @@ class TestRunEpisode:
             assert np.array_equal(log_a.column(column), log_b.column(column),
                                   equal_nan=True)
 
-    def test_start_inside_an_obstacle_within_the_arrival_radius(self, tmp_path):
+    def test_start_inside_an_obstacle_within_the_arrival_radius(self):
         # the loop stops on the collision at step 0, so the goal is not reached
         cfg = scenario_from_dict({
             "robot": {"start": [0.0, 0.0], "heading": 0.0},
             "goal": {"position": [0.1, 0.0], "arrival_radius": 0.3},
             "obstacles": [{"id": "r", "radius": 0.5, "center": [0.0, 0.0]}],
         })
-        log, _ = run_episode(cfg, out_dir=tmp_path)
-        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        log, metrics = run_episode(cfg)
+        metrics = metrics.to_dict()
         assert len(log) == 1
         assert metrics["collision"] is True
         assert metrics["arrival_time"] is None
         assert metrics["timed_out"] is False
 
-    def test_output_files(self, tmp_path):
+    def test_sideways_start_flags_every_clipped_turn(self):
+        # an empty world (the "empty" fallback on every step) with the goal
+        # abeam: the nominal turn rate exceeds omega_max, and each step whose
+        # command the box clipped is flagged saturated
         cfg = scenario_from_dict({
-            "robot": {"start": [-2.0, 0.0], "heading": 0.0},
-            "goal": {"position": [3.0, 0.0], "arrival_radius": 0.3},
-            "max_time": 12.0,
-            "obstacles": [{"id": "r", "radius": 0.4, "center": [0.5, 1.2]}],
+            "robot": {"start": [0.0, 0.0], "heading": math.pi / 2},
+            "goal": {"position": [5.0, 0.0]},
+            "max_time": 3.0,
+            "obstacles": [],
         })
-        out = tmp_path / "run"
-        run_episode(cfg, out_dir=out, dump_field=True, dump_perception=True)
-        assert (out / "trajectory.csv").exists()
-        assert (out / "metrics.json").exists()
-        assert (out / "barrier_field.csv").exists()
-        assert (out / "perception.jsonl").exists()
-        header = (out / "trajectory.csv").read_text().splitlines()[0]
-        assert header.split(",")[:6] == ["t", "px", "py", "theta", "v", "omega"]
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert "min_clearance" in metrics and "arrival_time" in metrics
-        first_frame = json.loads(
-            (out / "perception.jsonl").read_text().splitlines()[0])
-        assert {"t", "occupied_cells", "labels", "ellipses",
-                "track_ids", "tracks"} <= set(first_frame)
+        log, _ = run_episode(cfg)
+        omega_max = cfg.controller.omega_max
+        clipped = [s for s in log.steps if abs(s.omega) == omega_max]
+        assert len(clipped) >= 8
+        assert all(s.fallback == "empty" and s.saturated for s in clipped)
+
+    def test_on_step_observer_leaves_the_run_unchanged(self):
+        cfg = scenario_from_dict(TestCompare.CFG)
+        seen = []
+
+        def observe(step, pipeline, frame, model):
+            seen.append((step, model))
+            pipeline.debug_record(frame, step.t)
+
+        log, metrics = run_episode(cfg, on_step=observe)
+        plain_log, plain_metrics = run_episode(cfg)
+        timing = {"barrier_time_ms", "qp_time_ms"}
+        assert len(seen) == len(log)
+        assert all(a is b for (a, _), b in zip(seen, log.steps))
+        assert any(model is not None for _, model in seen)
+        assert len(log) == len(plain_log)
+        for a, b in zip(log.steps, plain_log.steps):
+            for f in fields(TrajectoryStep):
+                if f.name not in timing:
+                    assert repr(getattr(a, f.name)) == repr(getattr(b, f.name))
+        assert (metrics.to_dict(include_timing=False)
+                == plain_metrics.to_dict(include_timing=False))
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +151,10 @@ def head_on_run(tmp_path_factory):
     from gpnav.scenario import load_scenario, resolve_scenario
     cfg = load_scenario(resolve_scenario("head_on"))
     out = tmp_path_factory.mktemp("head_on")
-    return run_episode(cfg, out_dir=out, dump_perception=True), out
+    files = RunFiles(dump_perception=True)
+    log, metrics = run_episode(cfg, on_step=files)
+    files.write(out, cfg, log, metrics)
+    return (log, metrics), out
 
 
 class TestClosedLoopInvariants:

@@ -422,7 +422,7 @@ class TestTracker:
         assert np.allclose(track.velocity(min_age=2), 0.0)
         tracker.step([circle(0.10, 0.0)], dt=0.05)
         assert track.age == 2
-        assert np.any(track.velocity(min_age=2) != 0.0)
+        assert np.any(np.asarray(track.velocity(min_age=2)) != 0.0)
 
     def test_min_speed_gate_suppresses_slow_estimates(self):
         params = TrackerParams(min_speed=0.2)

@@ -107,6 +107,31 @@ class TestRunEpisode:
         assert metrics["arrival_time"] is None
         assert metrics["timed_out"] is False
 
+    def test_output_files(self, tmp_path):
+        cfg = scenario_from_dict({
+            "robot": {"start": [-2.0, 0.0], "heading": 0.0},
+            "goal": {"position": [3.0, 0.0], "arrival_radius": 0.3},
+            "max_time": 12.0,
+            "obstacles": [{"id": "r", "radius": 0.4, "center": [0.5, 1.2]}],
+        })
+        out = tmp_path / "run"
+        files = RunFiles(dump_field=True, dump_perception=True)
+        log, metrics = run_episode(cfg, on_step=files)
+        files.write(out, cfg, log, metrics)
+        assert (out / "trajectory.csv").exists()
+        assert (out / "metrics.json").exists()
+        assert (out / "barrier_field.csv").exists()
+        assert (out / "perception.jsonl").exists()
+        header = (out / "trajectory.csv").read_text().splitlines()[0]
+        assert header.split(",")[:6] == ["t", "px", "py", "theta", "v", "omega"]
+        written = json.loads((out / "metrics.json").read_text())
+        assert "min_clearance" in written and "arrival_time" in written
+        records = (out / "perception.jsonl").read_text().splitlines()
+        assert len(records) == len(log)
+        first_frame = json.loads(records[0])
+        assert {"t", "occupied_cells", "labels", "ellipses",
+                "track_ids", "tracks"} <= set(first_frame)
+
     def test_sideways_start_flags_every_clipped_turn(self):
         # an empty world (the "empty" fallback on every step) with the goal
         # abeam: the nominal turn rate exceeds omega_max, and each step whose

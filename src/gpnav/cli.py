@@ -100,10 +100,28 @@ def _load(args):
     return cfg
 
 
+def _out_dir_error(out_dir: str | None) -> str | None:
+    """Why --out-dir cannot become a directory, or None when it can.
+
+    The nearest part of the path that exists must be a directory; checked
+    before any episode, so a bad path costs no run.
+    """
+    if out_dir is None:
+        return None
+    path = Path(out_dir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing.is_dir():
+        return None
+    return f"--out-dir {out_dir}: {existing} exists and is not a directory"
+
+
 def _cmd_run(args) -> int:
     if (args.dump_field or args.dump_perception) and args.out_dir is None:
         print("error: --dump-field and --dump-perception write into --out-dir, "
               "which was not given", file=sys.stderr)
+        return 2
+    if error := _out_dir_error(args.out_dir):
+        print(f"error: {error}", file=sys.stderr)
         return 2
     cfg = _load(args)
     if args.variant is not None:
@@ -117,6 +135,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if error := _out_dir_error(args.out_dir):
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     cfg = _load(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     results = compare(cfg, variants)

@@ -259,17 +259,18 @@ def compute_metrics(log: TrajectoryLog,
 
 
 def compare(cfg: ScenarioConfig, variants: list[str]) -> dict[str, Metrics]:
-    """Run each controller variant on the identically seeded scenario."""
+    """Run each controller variant on the identically seeded scenario.
+
+    Every variant is checked before the first episode runs.
+    """
     for i, variant in enumerate(variants):
         if variant in variants[:i]:
             raise ValidationError(f"compare: variant {variant!r} is given twice")
     if len(variants) < 2:
         raise ValidationError("compare requires at least 2 variants")
-    results: dict[str, Metrics] = {}
-    for variant in variants:
-        _, metrics = run_episode(with_variant(cfg, variant))
-        results[variant] = metrics
-    return results
+    configs = [with_variant(cfg, variant) for variant in variants]
+    return {variant: run_episode(config)[1]
+            for variant, config in zip(variants, configs)}
 
 
 def comparison_json(results: dict[str, Metrics]) -> str:

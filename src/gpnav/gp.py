@@ -160,6 +160,9 @@ def mean_terms(model: GpModel, queries, velocities=None
                          f"training points {model.points.shape}")
     if not np.isfinite(v).all():
         raise ValueError("velocities must be finite")
+    # sum(axis=0) runs pairwise down a column-major array's contiguous
+    # columns and row by row over a C-ordered one, so its last bits follow
+    # the memory layout of the points (column-major from the grid's cells)
     d = model.points - model.points.sum(axis=0) / model.size
     rows = np.empty((model.size, 6))
     rows[:, 0] = 1.0

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 
@@ -31,18 +30,20 @@ def _wrap_orientation(angle: float) -> float:
 class Ellipse:
     """Axis lengths are semi-axes with semi_major >= semi_minor > 0.
 
-    fit_gap records the Khachiyan duality gap at termination (0 for
-    degenerate fits) and is diagnostic only.
+    center is kept as a pair of Python floats. fit_gap records the Khachiyan
+    duality gap at termination (0 for degenerate fits) and is diagnostic
+    only.
     """
 
-    center: np.ndarray
+    center: tuple[float, float]
     semi_major: float
     semi_minor: float
     angle: float
     fit_gap: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        self.center = np.asarray(self.center, dtype=float)
+        x, y = self.center
+        self.center = (float(x), float(y))
         if not self.semi_major >= self.semi_minor > 0.0:
             raise ValueError("ellipse axes must satisfy semi_major >= semi_minor > 0")
 
@@ -87,24 +88,31 @@ def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000) -> Ellipse:
     if n == 0:
         raise ValueError("cannot fit an ellipse to an empty cluster")
 
-    mean = pts.mean(axis=0)
-    centered = pts - mean
+    # the prelude runs in Python floats: row by row, the sum rounds as
+    # pts.mean(axis=0) does over a C-ordered (n, 2) array
+    rows = pts.tolist()
+    mx, my = rows[0]
+    for x, y in rows[1:]:
+        mx += x
+        my += y
+    mx, my = mx / n, my / n
+    centered = [(x - mx, y - my) for x, y in rows]
     if n < 3 or _rank_deficient(centered):
-        return _degenerate_fit(pts, mean, centered)
+        return _degenerate_fit(pts, (mx, my), centered)
 
     try:
         moments, gap = _khachiyan_moments(_hull_vertices(centered), tolerance,
                                           max_iter)
     except np.linalg.LinAlgError:
-        return _degenerate_fit(pts, mean, centered)
+        return _degenerate_fit(pts, (mx, my), centered)
     sx, sy, sxx, sxy, syy = moments
     a, b, c = sxx - sx * sx, sxy - sx * sy, syy - sy * sy   # covariance S
     # (p-c)^T S^-1 (p-c) <= 2: semi-axes sqrt(2 * eig(S))
     major_eig = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
     minor_eig = (a * c - b * b) / major_eig
     if not minor_eig > 0.0:
-        return _degenerate_fit(pts, mean, centered)
-    ellipse = Ellipse(center=mean + (sx, sy),
+        return _degenerate_fit(pts, (mx, my), centered)
+    ellipse = Ellipse(center=(mx + sx, my + sy),
                       semi_major=math.sqrt(2.0 * major_eig),
                       semi_minor=math.sqrt(2.0 * min(minor_eig, major_eig)),
                       angle=_wrap_orientation(0.5 * math.atan2(2.0 * b, a - c)),
@@ -116,25 +124,29 @@ def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000) -> Ellipse:
     return ellipse
 
 
-def _rank_deficient(centered: np.ndarray) -> bool:
-    """Whether centred points span less than a plane.
+def _rank_deficient(centered) -> bool:
+    """Whether centred (x, y) pairs span less than a plane.
 
     The eigenvalues of the 2x2 Gram matrix C^T C are the squared singular
     values of C, so the test sigma_min <= max(1e-9, 1e-7 * sigma_max) reads
     lambda_min <= max(1e-18, 1e-14 * lambda_max), in closed form.
     """
-    (a, b), (_, c) = (centered.T @ centered).tolist()
+    a = b = c = 0.0
+    for x, y in centered:
+        a += x * x
+        b += x * y
+        c += y * y
     mid, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
     return mid - radius <= max(1e-18, 1e-14 * (mid + radius))
 
 
-def _hull_vertices(pts: np.ndarray) -> list[tuple[float, float]]:
+def _hull_vertices(pts) -> list[tuple[float, float]]:
     """Strict convex-hull vertices, counter-clockwise from the lowest (x, y).
 
-    Andrew's monotone chain over the points sorted by (x, y); points on a
-    hull edge and repeated points are dropped.
+    Andrew's monotone chain over the (x, y) pairs of pts sorted by (x, y);
+    points on a hull edge and repeated points are dropped.
     """
-    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    ordered = sorted(map(tuple, pts))
 
     def chain(seq):
         out: list[tuple[float, float]] = []
@@ -160,19 +172,26 @@ def _khachiyan_moments(pts: list[tuple[float, float]], tolerance: float,
     the 3x3 scatter M, and moves weight toward the highest score or away
     from the lowest supported one. Returns the weighted moments
     (sx, sy, sxx, sxy, syy) and the duality gap of the final weights.
+
+    At hull sizes of a few points the per-call overhead outweighs the
+    arithmetic, so each iteration makes one pass for the six moments (each
+    summed in point order, from 0.0) and one pass that scores the points
+    and keeps the first highest and the first lowest supported one.
     """
     n = len(pts)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    xxs = [x * x for x in xs]
-    xys = [x * y for x, y in pts]
-    yys = [y * y for y in ys]
+    rows = [(x, y, x * x, x * y, y * y) for x, y in pts]
     u = [1.0 / n] * n
     dp1 = 3.0                                         # d + 1 for d = 2
+    inf = math.inf
     for iteration in range(max_iter + 1):
-        s, sx, sy = sum(u), sum(map(mul, u, xs)), sum(map(mul, u, ys))
-        sxx, sxy = sum(map(mul, u, xxs)), sum(map(mul, u, xys))
-        syy = sum(map(mul, u, yys))
+        s = sx = sy = sxx = sxy = syy = 0.0
+        for w, (x, y, xx, xy, yy) in zip(u, rows):
+            s += w
+            sx += w * x
+            sy += w * y
+            sxx += w * xx
+            sxy += w * xy
+            syy += w * yy
         # adjugate of M = [[sxx, sxy, sx], [sxy, syy, sy], [sx, sy, s]]
         a00 = syy * s - sy * sy
         a01 = sx * sy - sxy * s
@@ -185,19 +204,20 @@ def _khachiyan_moments(pts: list[tuple[float, float]], tolerance: float,
             raise np.linalg.LinAlgError("lifted scatter is singular")
         b00, b01, b02 = a00 / det, 2.0 * a01 / det, 2.0 * a02 / det
         b11, b12, b22 = a11 / det, 2.0 * a12 / det, a22 / det
-        scores = [(b00 * x + b01 * y + b02) * x + (b11 * y + b12) * y + b22
-                  for x, y in pts]
-        hi = max(scores)
+        hi, lo, j_hi, j_lo = -inf, inf, 0, 0
+        for k, (x, y) in enumerate(pts):
+            score = (b00 * x + b01 * y + b02) * x + (b11 * y + b12) * y + b22
+            if score > hi:
+                hi, j_hi = score, k
+            if score < lo and u[k] > 1e-12:
+                lo, j_lo = score, k
         gap = hi / dp1 - 1.0
         if gap <= tolerance or iteration == max_iter:
             break
-        support = [score if w > 1e-12 else math.inf
-                   for score, w in zip(scores, u)]
-        lo = min(support)
         if hi - dp1 >= dp1 - lo or lo <= 1.0 + 1e-12:
-            j, step = scores.index(hi), (hi - dp1) / (dp1 * (hi - 1.0))
+            j, step = j_hi, (hi - dp1) / (dp1 * (hi - 1.0))
         else:
-            j = support.index(lo)
+            j = j_lo
             step = (lo - dp1) / (dp1 * (lo - 1.0))   # negative: move weight away
             step = max(step, -u[j] / (1.0 - u[j]))
         keep = 1.0 - step
@@ -206,12 +226,14 @@ def _khachiyan_moments(pts: list[tuple[float, float]], tolerance: float,
     return (sx, sy, sxx, sxy, syy), gap
 
 
-def _degenerate_fit(pts: np.ndarray, mean: np.ndarray,
-                    centered: np.ndarray) -> Ellipse:
+def _degenerate_fit(pts: np.ndarray, mean: tuple[float, float],
+                    centered: list[tuple[float, float]]) -> Ellipse:
     """Segment-aligned padded ellipse for clusters of rank 0 or 1."""
+    centered = np.array(centered)
     if len(pts) == 1 or not np.any(np.abs(centered) > 0.0):
-        return Ellipse(center=mean.copy(), semi_major=DEFAULT_MIN_MINOR,
+        return Ellipse(center=mean, semi_major=DEFAULT_MIN_MINOR,
                        semi_minor=DEFAULT_MIN_MINOR, angle=0.0)
+    mean = np.array(mean)
     _, _, vt = np.linalg.svd(centered)
     direction = vt[0]
     offsets = centered @ direction

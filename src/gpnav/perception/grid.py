@@ -44,6 +44,12 @@ class ObstacleGridMap:
     The occupied cells are found once, on construction: cells holds their
     (M, 2) integer indices and points their (M, 2) world centres, both in
     row-major order. Every per-cell array of the frame aligns with them.
+
+    cells is laid out in memory column-major, as np.argwhere returns it,
+    and points inherits that layout. Keep it: points become the GP's
+    training points, and numpy reductions over them (gp.mean_terms) round
+    their last bits by memory layout, so C-ordered cells move the barrier
+    gradient by ~1e-15 and the logged constraint slack with it.
     """
 
     spec: GridSpec
@@ -53,7 +59,10 @@ class ObstacleGridMap:
     points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.cells = np.argwhere(self.occupied)
+        flat = np.flatnonzero(self.occupied)
+        cells = np.empty((2, len(flat)), dtype=np.intp)
+        np.divmod(flat, self.occupied.shape[1], out=(cells[0], cells[1]))
+        self.cells = cells.T              # column-major, as np.argwhere's
         self.points = self.origin + self.spec.resolution * (self.cells + 0.5)
 
 

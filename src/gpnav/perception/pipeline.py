@@ -65,7 +65,9 @@ class PerceptionPipeline:
     def __init__(self, params: PerceptionParams | None = None) -> None:
         self.params = params or PerceptionParams()
         self.tracker = ObstacleTracker(self.params.tracker)
-        self._fits: dict[bytes, Ellipse] = {}   # local cell pattern -> local fit
+        # local cell pattern -> local fit (cx, cy, semi_major, semi_minor,
+        # angle, fit_gap)
+        self._fits: dict[bytes, tuple[float, ...]] = {}
 
     def process(self, scan, robot, dt: float) -> PerceptionFrame:
         """Run one full perception frame and refresh the track store.
@@ -84,8 +86,10 @@ class PerceptionPipeline:
         starts = ([0] + ends)[:count]
         lows = np.minimum.reduceat(clustered, starts)         # (C, 2)
         local = clustered - np.repeat(lows, sizes[1:], axis=0)
-        shifts = grid.origin + grid.spec.resolution * lows
-        ellipses = [self._fit_cluster(local[start:end], shift)
+        shifts = (grid.origin + grid.spec.resolution * lows).tolist()
+        patterns, width = local.tobytes(), 2 * local.itemsize   # C order
+        ellipses = [self._fit_cluster(patterns[width * start:width * end],
+                                      local, start, end, shift)
                     for start, end, shift in zip(starts, ends, shifts)]
 
         assignment = self.tracker.step(ellipses, dt)
@@ -100,26 +104,31 @@ class PerceptionPipeline:
                                track_ids=[assignment[j].track_id
                                           for j in range(count)])
 
-    def _fit_cluster(self, local: np.ndarray, shift: np.ndarray) -> Ellipse:
+    def _fit_cluster(self, key: bytes, local: np.ndarray, start: int, end: int,
+                     shift: list[float]) -> Ellipse:
         """MVEE of a cluster's cell centres, fitted once per cell pattern.
 
-        local holds the cluster's cells in row-major order, less their
-        lowest index; shift is the world position of that lowest cell's
-        corner. The fit is made in the pattern's own frame and translated
-        by shift, so a pattern gives the same axes, angle and gap wherever
-        it appears.
+        local[start:end] holds the cluster's cells in row-major order, less
+        their lowest index, and key is their bytes: cells come row-major,
+        so one set, one key. shift is the world position of the lowest
+        cell's corner. The fit is made in the pattern's own frame and
+        translated by shift, so a pattern gives the same axes, angle and gap
+        wherever it appears. A memo hit makes no numpy call.
         """
-        key = local.tobytes()     # cells come row-major, so one set, one key
         fit = self._fits.get(key)
         if fit is None:
             if len(self._fits) >= FIT_MEMO_CAPACITY:
                 self._fits.clear()
             res = self.params.grid.resolution
-            fit = fit_mvee(res * (local + 0.5), tolerance=self.params.mvee_tolerance)
-            self._fits[key] = fit
-        return Ellipse(center=fit.center + shift, semi_major=fit.semi_major,
-                       semi_minor=fit.semi_minor, angle=fit.angle,
-                       fit_gap=fit.fit_gap)
+            ellipse = fit_mvee(res * (local[start:end] + 0.5),
+                               tolerance=self.params.mvee_tolerance)
+            fit = self._fits[key] = (*ellipse.center, ellipse.semi_major,
+                                     ellipse.semi_minor, ellipse.angle,
+                                     ellipse.fit_gap)
+        cx, cy, semi_major, semi_minor, angle, fit_gap = fit
+        return Ellipse(center=(cx + shift[0], cy + shift[1]),
+                       semi_major=semi_major, semi_minor=semi_minor,
+                       angle=angle, fit_gap=fit_gap)
 
     def debug_record(self, frame: PerceptionFrame, t: float) -> dict:
         """JSON-serializable dump of one frame for golden-file regression."""

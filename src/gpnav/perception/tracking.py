@@ -80,7 +80,7 @@ class TrackedObstacle:
 
 def new_track(track_id: int, detection: Ellipse, params: TrackerParams) -> TrackedObstacle:
     """Start a track from a detection with unknown velocity and acceleration."""
-    px, py = detection.center.tolist()
+    px, py = detection.center
     return TrackedObstacle(track_id=track_id, px=px, py=py,
                            cov=(params.r_center, 0.0, 0.0, 1.0, 0.0, 1.0))
 
@@ -263,7 +263,7 @@ def kalman_step(track: TrackedObstacle, detection: Ellipse | None, dt: float,
     else:
         innovation_var = c00 + params.r_center
         k0, k1, k2 = c00 / innovation_var, c01 / innovation_var, c02 / innovation_var
-        zx, zy = detection.center.tolist()
+        zx, zy = detection.center
         ex, ey = zx - px, zy - py
         px, py = px + k0 * ex, py + k0 * ey
         vx, vy = vx + k1 * ex, vy + k1 * ey
@@ -294,8 +294,10 @@ class ObstacleTracker:
         tracks = self.tracks
         # two coordinate rows, viewed as (n, 2): faster than n (x, y) pairs
         centres = np.array([[t.px for t in tracks], [t.py for t in tracks]]).T
+        measured = np.array([[d.center[0] for d in detections],
+                             [d.center[1] for d in detections]]).T
         matches, unmatched_tracks, unmatched_dets = associate(
-            centres, np.array([d.center for d in detections]), self.params.d_max)
+            centres, measured, self.params.d_max)
 
         assignment: dict[int, TrackedObstacle] = {}
         for ti, dj in matches:

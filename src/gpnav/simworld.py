@@ -54,16 +54,17 @@ class MotionSpec:
 
 @dataclass
 class Obstacle:
-    """Circular obstacle; spawn is the center at t = 0."""
+    """Circular obstacle; spawn is the center at t = 0.
+
+    Once in a World, center is a row of the world's stacked centres and
+    moves with them.
+    """
 
     obstacle_id: str
     radius: float
     spawn: np.ndarray
     motion: MotionSpec = field(default_factory=MotionSpec)
     center: np.ndarray | None = None
-    # the frozen motion's velocity and unit sinusoid axis, built once
-    _velocity: np.ndarray = field(init=False, repr=False, compare=False)
-    _unit_axis: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
@@ -71,47 +72,75 @@ class Obstacle:
         self.spawn = np.asarray(self.spawn, dtype=float)
         if self.center is None:
             self.center = self.spawn.copy()
-        self._velocity = np.asarray(self.motion.velocity)
-        self._unit_axis = None
-        if self.motion.kind == "sinusoid":
-            axis = np.asarray(self.motion.axis, dtype=float)
-            self._unit_axis = axis / np.linalg.norm(axis)
 
-    def advance(self, t_next: float, dt: float) -> None:
-        if self.motion.kind == "velocity":
-            self.center = self.center + self._velocity * dt
-        elif self.motion.kind == "sinusoid":
-            phase = 2.0 * np.pi * t_next / self.motion.period
-            # closed-form position so long episodes accumulate no drift
-            self.center = (self.spawn
-                           + self._unit_axis * self.motion.amplitude * np.sin(phase))
+
+def _pairs(rows) -> np.ndarray:
+    """A list of (x, y) pairs as a (K, 2) float array, (0, 2) when empty."""
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
+def _unit(axis) -> np.ndarray:
+    """The direction of a nonzero (x, y) axis as a unit vector."""
+    axis = np.asarray(axis, dtype=float)
+    return axis / np.linalg.norm(axis)
 
 
 class World:
-    """Owns the obstacles and the simulation clock."""
+    """Owns the obstacles and the simulation clock.
+
+    The obstacles' state is stacked once, on construction: centres (K, 2),
+    radii and radius_sq (K,), and per motion kind the indices of its
+    obstacles and their parameters. advance moves the centres in place with
+    one array operation per moving kind, elementwise exactly as each
+    obstacle's own closed form.
+    """
 
     def __init__(self, obstacles: list[Obstacle] | None = None) -> None:
         self.obstacles = obstacles or []
         self.time = 0.0
+        self.centres = _pairs([ob.center for ob in self.obstacles])
+        for ob, row in zip(self.obstacles, self.centres):
+            ob.center = row                          # a view into centres
+        self.radii = np.array([ob.radius for ob in self.obstacles], dtype=float)
+        self.radius_sq = np.array([ob.radius**2 for ob in self.obstacles],
+                                  dtype=float)      # libm pow, not r * r
+        self._radius_list = self.radii.tolist()
+        moving = [(i, ob) for i, ob in enumerate(self.obstacles)
+                  if ob.motion.kind == "velocity"]
+        self._moving = np.array([i for i, _ in moving], dtype=np.intp)
+        self._velocity = _pairs([ob.motion.velocity for _, ob in moving])
+        swinging = [(i, ob) for i, ob in enumerate(self.obstacles)
+                    if ob.motion.kind == "sinusoid"]
+        self._swinging = np.array([i for i, _ in swinging], dtype=np.intp)
+        self._swing_spawn = _pairs([ob.spawn for _, ob in swinging])
+        # unit axis times amplitude, the first product of the closed form
+        self._swing_reach = _pairs([_unit(ob.motion.axis) * ob.motion.amplitude
+                                    for _, ob in swinging])
+        self._swing_period = np.array([ob.motion.period for _, ob in swinging],
+                                      dtype=float)
 
     def advance(self, dt: float) -> None:
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
         t_next = self.time + dt
-        for obstacle in self.obstacles:
-            obstacle.advance(t_next, dt)
+        centres = self.centres
+        if len(self._moving):
+            centres[self._moving] += self._velocity * dt
+        if len(self._swinging):
+            phase = 2.0 * np.pi * t_next / self._swing_period
+            # closed-form position so long episodes accumulate no drift
+            centres[self._swinging] = (self._swing_spawn
+                                       + self._swing_reach * np.sin(phase)[:, None])
         self.time = t_next
 
     def clearance(self, point) -> float:
         """Distance from a point to the nearest obstacle boundary (inf if none)."""
-        obstacles = self.obstacles
-        if not obstacles:
+        if not self.obstacles:
             return float("inf")
-        offsets = (np.asarray(point, dtype=float)
-                   - np.array([ob.center for ob in obstacles]))
+        offsets = np.asarray(point, dtype=float) - self.centres
         # (K, 1, 2) @ (K, 2, 1) rounds as np.linalg.norm's own dot product does
         squared = np.matmul(offsets[:, None, :], offsets[:, :, None]).ravel().tolist()
-        return min(math.sqrt(sq) - ob.radius for sq, ob in zip(squared, obstacles))
+        return min(math.sqrt(sq) - r for sq, r in zip(squared, self._radius_list))
 
 
 @dataclass(frozen=True)
@@ -173,11 +202,8 @@ def cast_lidar(world: World, robot: RobotState, spec: LidarSpec,
     beams = spec.beam_count
     angles = 2.0 * np.pi * np.arange(beams) / beams
     dirs = np.stack([np.cos(robot.theta + angles), np.sin(robot.theta + angles)], axis=1)
-    obstacles = world.obstacles
-    to_center = (np.array([ob.center for ob in obstacles]).reshape(-1, 2)
-                 - robot.position)
-    radii = np.array([ob.radius for ob in obstacles])
-    radius_sq = np.array([ob.radius**2 for ob in obstacles])   # libm pow, not r * r
+    to_center = world.centres - robot.position
+    radii, radius_sq = world.radii, world.radius_sq
     # (K, 1, 2) @ (K, 2, 1) and (1, B, 2) @ (K, 2, 1) round exactly as one
     # obstacle's own dot products; a 2-D (B, 2) @ (2, K) product does not
     center_sq = np.matmul(to_center[:, None, :], to_center[:, :, None])[:, 0, 0]

@@ -222,6 +222,53 @@ def test_compare_duplicate_variant_errors(quick_scenario, tmp_path, capsys):
     assert not out.exists()
 
 
+def _refuse_episodes(monkeypatch):
+    """Make every episode of the CLI fail the test if it starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an episode started")
+
+    monkeypatch.setattr("gpnav.cli.run_episode", refuse)
+    monkeypatch.setattr("gpnav.episode.run_episode", refuse)
+
+
+def test_run_out_dir_naming_a_file_exits_two_before_the_episode(
+        tmp_path, monkeypatch, capsys):
+    _refuse_episodes(monkeypatch)
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    code = main(["run", "head_on", "--out-dir", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --out-dir {target}: {target} exists and "
+                            "is not a directory\n")
+    assert target.read_text() == "keep"
+
+
+def test_compare_out_dir_under_a_file_exits_two_before_any_episode(
+        tmp_path, monkeypatch, capsys):
+    _refuse_episodes(monkeypatch)
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    code = main(["compare", "head_on", "--variants", "dlgp,gp-linear",
+                 "--out-dir", str(target / "cmp")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --out-dir {target / 'cmp'}: {target} "
+                            "exists and is not a directory\n")
+    assert target.read_text() == "keep"
+
+
+def test_compare_unknown_variant_exits_two_before_any_episode(monkeypatch, capsys):
+    _refuse_episodes(monkeypatch)
+    code = main(["compare", "head_on", "--variants", "dlgp,foo"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: controller: unknown variant 'foo'")
+
+
 def test_check_gradients_reports(capsys):
     code = main(["check-gradients", "--cases", "12"])
     assert code == 0

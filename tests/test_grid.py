@@ -93,6 +93,25 @@ class TestObstacleGrid:
         assert grid.cells.tolist() == [[2, 3], [2, 9], [7, 1], [40, 0]]
         assert np.array_equal(grid.points, grid.origin + 0.2 * (grid.cells + 0.5))
 
+    def test_cells_keep_argwhere_values_order_and_layout(self):
+        # points inherit the layout of cells and become the GP's training
+        # points, whose column sums round by memory layout, so cells must
+        # match np.argwhere in strides as well as in values
+        rng = np.random.default_rng(21)
+        for width, height, density in ((60, 60, 0.03), (7, 13, 0.5),
+                                       (13, 7, 1.0), (5, 5, 0.0), (1, 9, 0.5)):
+            for _ in range(20):
+                spec = GridSpec(width=width, height=height, resolution=0.2)
+                occupied = rng.random((width, height)) < density
+                grid = ObstacleGridMap(spec=spec, origin=np.zeros(2),
+                                       occupied=occupied)
+                expected = np.argwhere(occupied)
+                assert grid.cells.dtype == expected.dtype
+                assert grid.cells.shape == expected.shape
+                assert grid.cells.tolist() == expected.tolist()
+                assert grid.cells.strides == expected.strides
+                assert grid.points.strides == (expected + 0.5).strides
+
 
 class TestVelocityGrid:
     def test_static_scene_all_zero(self):

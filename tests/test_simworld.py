@@ -1,5 +1,7 @@
 """Unicycle integration, obstacle motion, and ray-cast sensor geometry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,104 @@ def test_wrap_angle_range():
         wrapped = wrap_angle(theta)
         assert -np.pi <= wrapped < np.pi
         assert abs((wrapped - theta) % (2 * np.pi)) < 1e-9
+
+
+class _ReferenceObstacle:
+    """One obstacle moved by its own closed form, one numpy update per step."""
+
+    def __init__(self, obstacle):
+        self.radius = obstacle.radius
+        self.motion = obstacle.motion
+        self.spawn = np.asarray(obstacle.spawn, dtype=float)
+        self.center = self.spawn.copy()
+        self.velocity = np.asarray(obstacle.motion.velocity)
+        axis = np.asarray(obstacle.motion.axis, dtype=float)
+        self.unit_axis = axis / np.linalg.norm(axis)
+
+    def advance(self, t_next, dt):
+        if self.motion.kind == "velocity":
+            self.center = self.center + self.velocity * dt
+        elif self.motion.kind == "sinusoid":
+            phase = 2.0 * np.pi * t_next / self.motion.period
+            self.center = (self.spawn
+                           + self.unit_axis * self.motion.amplitude * np.sin(phase))
+
+
+def _stacked_reference_cast(obstacles, robot, spec, rng=None):
+    """cast_lidar with its arrays stacked from the obstacles on every call."""
+    beams = spec.beam_count
+    angles = 2.0 * np.pi * np.arange(beams) / beams
+    dirs = np.stack([np.cos(robot.theta + angles), np.sin(robot.theta + angles)], axis=1)
+    to_center = (np.array([ob.center for ob in obstacles]).reshape(-1, 2)
+                 - robot.position)
+    radii = np.array([ob.radius for ob in obstacles])
+    radius_sq = np.array([ob.radius**2 for ob in obstacles])
+    center_sq = np.matmul(to_center[:, None, :], to_center[:, :, None])[:, 0, 0]
+    reach = spec.max_range * (1.0 + 1e-9) + radii
+    in_range = center_sq < reach * reach
+    to_center = to_center[in_range]
+    closest_sq = center_sq[in_range] - radius_sq[in_range]
+    along = np.matmul(dirs[None], to_center[:, :, None])[:, :, 0]
+    disc = np.multiply(along, along)
+    disc -= closest_sq[:, None]
+    feasible = disc >= 0.0
+    root = np.sqrt(disc, out=disc, where=feasible)
+    near = np.subtract(along, root, out=np.full_like(along, np.inf), where=feasible)
+    far = np.add(along, root, out=along)
+    dist = np.where(far > 1e-9, far, np.inf)
+    np.copyto(dist, near, where=near > 1e-9)
+    best = dist.min(axis=0, initial=np.inf)
+    hits = best < spec.max_range
+    ranges = np.where(hits, best, spec.max_range)
+    if spec.noise_sigma > 0.0 and rng is not None and np.any(hits):
+        noisy = ranges[hits] + rng.normal(0.0, spec.noise_sigma, int(hits.sum()))
+        ranges[hits] = np.clip(noisy, 1e-6, np.nextafter(spec.max_range, 0.0))
+    return ranges, hits
+
+
+def _random_motion(rng):
+    kind = rng.choice(["static", "velocity", "sinusoid"])
+    if kind == "velocity":
+        return MotionSpec(kind="velocity",
+                          velocity=tuple(rng.uniform(-1.5, 1.5, 2).tolist()))
+    if kind == "sinusoid":
+        axis = rng.uniform(-2.0, 2.0, 2) * rng.choice([1e-3, 1.0, 1e3])
+        return MotionSpec(kind="sinusoid", axis=tuple(axis.tolist()),
+                          amplitude=float(rng.uniform(0.0, 2.0)),
+                          period=float(rng.uniform(0.3, 8.0)))
+    return MotionSpec()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_world_matches_per_obstacle_closed_form(seed):
+    """Stacked centres, their row views, cast_lidar and clearance, bit for
+    bit the per-obstacle updates and the per-call stacking of the arrays."""
+    rng = np.random.default_rng([seed, 21])
+    count = int(rng.integers(10, 45))
+    obstacles = [Obstacle(f"o{i}", float(rng.uniform(0.05, 1.0)),
+                          rng.uniform(-6.0, 6.0, 2), _random_motion(rng))
+                 for i in range(count)]
+    reference = [_ReferenceObstacle(ob) for ob in obstacles]
+    world = World(obstacles)
+    spec = LidarSpec(beam_count=90, max_range=6.0, noise_sigma=0.02 * (seed % 2))
+    cast_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    dt, t = float(rng.choice([0.05, 0.04, 0.013])), 0.0
+    for _ in range(240):
+        world.advance(dt)
+        t += dt
+        for ref in reference:
+            ref.advance(t, dt)
+        expected = np.array([ref.center for ref in reference])
+        assert world.time == t
+        assert world.centres.tobytes() == expected.tobytes()
+        for ob, ref in zip(world.obstacles, reference):
+            assert ob.center.tobytes() == ref.center.tobytes()
+        robot = RobotState(*rng.uniform(-4.0, 4.0, 2), rng.uniform(-np.pi, np.pi))
+        scan = cast_lidar(world, robot, spec, cast_rng)
+        ranges, hits = _stacked_reference_cast(reference, robot, spec, reference_rng)
+        assert scan.ranges.tobytes() == ranges.tobytes()
+        assert scan.hits.tobytes() == hits.tobytes()
+        offsets = robot.position - expected
+        squared = np.matmul(offsets[:, None, :], offsets[:, :, None]).ravel().tolist()
+        assert world.clearance(robot.position) == min(
+            math.sqrt(sq) - ref.radius for sq, ref in zip(squared, reference))

@@ -1,0 +1,6 @@
+"""python -m gpnav: the gpnav command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -98,6 +98,7 @@ def _gp_terms(model: GpModel | None, queries, velocities=None):
 
 def _log_value(mu, params: BarrierParams):
     """-scale * log(max(mu, mu_floor)) - margin_shift, elementwise."""
+    # np.log, not math.log: the two libms differ in the last bit on some inputs
     return -params.scale * np.log(np.maximum(mu, params.mu_floor)) - params.margin_shift
 
 

@@ -19,13 +19,29 @@ class BenchRow:
     median_ms: float
 
 
+def max_dataset_size(spread: float = 5.0, min_spacing: float = 0.2) -> int:
+    """Largest size random_dataset places in a square of half-width spread.
+
+    Random placement at min_spacing jams near 0.7 points per min_spacing^2
+    of the square (about 1,700 in the default 10 x 10 m at 0.2 m) and then
+    never places another; 0.4 per min_spacing^2 keeps the loop short.
+    """
+    return int(0.4 * (2.0 * spread / min_spacing) ** 2)
+
+
 def random_dataset(rng: np.random.Generator, size: int, spread: float = 5.0,
                    min_spacing: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
     """Random point cloud with per-point velocities.
 
     Points keep the grid pipeline's minimum spacing, which bounds the kernel
-    matrix conditioning the same way downsampled occupancy cells do.
+    matrix conditioning the same way downsampled occupancy cells do. Sizes
+    above max_dataset_size(spread, min_spacing) raise ValueError.
     """
+    limit = max_dataset_size(spread, min_spacing)
+    if size > limit:
+        raise ValueError(f"dataset size {size} is over {limit}, the bound for "
+                         f"points {min_spacing} m apart in a "
+                         f"{2.0 * spread} m square")
     points = np.empty((size, 2))
     count = 0
     while count < size:
@@ -44,15 +60,18 @@ def bench_barrier(sizes: list[int], repetitions: int = 50,
 
     One evaluation covers model construction plus value, spatial gradient and
     time derivative at a random query, mirroring the per-frame cost of the
-    control loop.
+    control loop. Sizes run from 1 to max_dataset_size(); any other size
+    raises ValueError before the first evaluation.
     """
+    limit = max_dataset_size()
+    for size in sizes:
+        if not 1 <= size <= limit:
+            raise ValueError(f"dataset sizes must be in 1..{limit}, got {size}")
     rng = np.random.default_rng(seed)
     params = BarrierParams()
     kernel = KernelParams()
     rows = []
     for size in sizes:
-        if size < 1:
-            raise ValueError("dataset sizes must be >= 1")
         samples = []
         for _ in range(repetitions):
             points, velocities = random_dataset(rng, size)

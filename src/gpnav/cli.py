@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .barrier import VARIANTS
-from .bench import bench_barrier, check_gradients
+from .bench import bench_barrier, check_gradients, max_dataset_size
 from .episode import (RunFiles, compare, comparison_json, comparison_table,
                       run_episode)
 from .gp import FactorizationFailure
@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="time full barrier evaluations")
     bench.add_argument("--sizes", type=_sizes, default=[1, 5, 30, 60],
-                       help="comma-separated dataset sizes, each >= 1")
+                       help="comma-separated dataset sizes, each in "
+                            f"1..{max_dataset_size()}")
     bench.add_argument("--reps", type=_positive_int, default=50)
     bench.set_defaults(handler=_cmd_bench)
     return parser
@@ -89,6 +90,10 @@ def _sizes(text: str) -> list[int]:
     sizes = [_positive_int(s) for s in text.split(",") if s.strip()]
     if not sizes:
         raise argparse.ArgumentTypeError("no dataset sizes given")
+    limit = max_dataset_size()
+    if too_large := [s for s in sizes if s > limit]:
+        raise argparse.ArgumentTypeError(
+            f"{too_large[0]} is over the dataset size limit {limit}")
     return sizes
 
 

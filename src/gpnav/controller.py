@@ -116,6 +116,7 @@ def solve_safety_qp(u_nominal, constraint: SafetyConstraint) -> np.ndarray:
     if not constraint.feasible:
         raise InfeasibleConstraint("safety halfspace is empty; brake")
     u = np.asarray(u_nominal, dtype=float)
+    # BLAS ddot fuses multiply-adds; a0*u0 + a1*u1 in floats rounds differently
     slack = float(constraint.a @ u + constraint.b)
     if slack >= 0.0:
         return u.copy()

@@ -68,9 +68,12 @@ def dbscan(grid, eps: float, min_pts: int) -> np.ndarray:
     core = np.count_nonzero(neighbours >= 0, axis=1) >= min_pts
 
     # union-find over core-to-earlier-core edges; a root is always the
-    # lowest index of its set, i.e. the set's first core cell
+    # lowest index of its set, i.e. the set's first core cell. Tables
+    # indexed by neighbours carry one extra entry, read through index -1.
+    core_pad = np.zeros(m + 1, dtype=bool)
+    core_pad[:m] = core
     earlier = lookup[base[:, None] + backward]
-    linked = np.append(core, False)[earlier] & core[:, None]
+    linked = core_pad[earlier] & core[:, None]
     rows, cols = np.nonzero(linked)
     parent = list(range(m))
     for i, j in zip(rows.tolist(), earlier[rows, cols].tolist()):
@@ -84,18 +87,17 @@ def dbscan(grid, eps: float, min_pts: int) -> np.ndarray:
             parent[j] = i
         elif j < i:
             parent[i] = j
+    # a parent has the lower index, so one ascending pass settles every root
+    for i in range(m):
+        parent[i] = parent[parent[i]]
     root = np.array(parent)
-    while True:
-        jumped = root[root]
-        if np.array_equal(jumped, root):
-            break
-        root = jumped
 
     first = core & (root == np.arange(m))
     ids = np.cumsum(first) - 1
     labels[core] = ids[root[core]]
     # border cells: lowest id among neighbouring core cells (m = none)
-    core_ids = np.append(np.where(core, labels, m), m)
+    core_ids = np.full(m + 1, m, dtype=np.intp)
+    core_ids[:m][core] = labels[core]
     lowest = core_ids[neighbours].min(axis=1)
     border = ~core & (lowest < m)
     labels[border] = lowest[border]

@@ -33,8 +33,10 @@ def grid_origin(robot_position, spec: GridSpec) -> np.ndarray:
     keeps producing the same cell centers while the robot moves.
     """
     res = spec.resolution
-    center = np.round(np.asarray(robot_position, dtype=float) / res) * res
-    return center - res * np.array([spec.width, spec.height]) / 2.0
+    x, y = robot_position
+    # Python's round is half-to-even, as np.round is
+    return np.array([round(x / res) * res - res * spec.width / 2.0,
+                     round(y / res) * res - res * spec.height / 2.0])
 
 
 @dataclass
@@ -72,13 +74,11 @@ def update_obstacle_grid(scan, robot, spec: GridSpec) -> ObstacleGridMap:
     Only returning beams (range < max range) mark cells; max-range misses
     contribute nothing. Endpoints outside the window are dropped.
     """
-    origin = grid_origin(robot.position, spec)
+    origin = grid_origin((robot.x, robot.y), spec)
     occupied = np.zeros((spec.width, spec.height), dtype=bool)
     hits = scan.hits
     if np.any(hits):
-        world_angles = robot.theta + scan.angles[hits]
-        endpoints = robot.position + scan.ranges[hits, None] * np.stack(
-            [np.cos(world_angles), np.sin(world_angles)], axis=1)
+        endpoints = robot.position + scan.ranges[hits, None] * scan.directions[hits]
         cells = np.floor((endpoints - origin) / spec.resolution).astype(int)
         inside = ((cells[:, 0] >= 0) & (cells[:, 0] < spec.width)
                   & (cells[:, 1] >= 0) & (cells[:, 1] < spec.height))

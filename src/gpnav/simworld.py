@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,11 +163,16 @@ class LidarSpec:
 
 @dataclass
 class LidarScan:
-    """Beam angles are in the robot frame; range == max_range marks a miss."""
+    """Beam angles are in the robot frame; range == max_range marks a miss.
+
+    directions holds each beam's (B, 2) unit vector in the world frame,
+    (cos, sin) of robot heading + angle.
+    """
 
     angles: np.ndarray
     ranges: np.ndarray
     hits: np.ndarray
+    directions: np.ndarray
 
 
 def step_dynamics(state: RobotState, control, dt: float) -> RobotState:
@@ -178,17 +184,27 @@ def step_dynamics(state: RobotState, control, dt: float) -> RobotState:
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     v, omega = float(control.v), float(control.omega)
+    th = state.theta
+    # the heading rate is constant, so the stage headings are known up front
+    # and the two middle stages are equal
+    mid = th + 0.5 * dt * omega
+    end = th + dt * omega
+    x1, x2, x4 = v * math.cos(th), v * math.cos(mid), v * math.cos(end)
+    y1, y2, y4 = v * math.sin(th), v * math.sin(mid), v * math.sin(end)
+    h = dt / 6.0
+    # ((k1 + 2 k2) + 2 k3) + k4: the golden outputs pin this summation order
+    x = float(state.x) + h * (((x1 + 2.0 * x2) + 2.0 * x2) + x4)
+    y = float(state.y) + h * (((y1 + 2.0 * y2) + 2.0 * y2) + y4)
+    theta = th + h * (((omega + 2.0 * omega) + 2.0 * omega) + omega)
+    return RobotState(x=x, y=y, theta=wrap_angle(theta))
 
-    def deriv(theta: float) -> np.ndarray:
-        return np.array([v * np.cos(theta), v * np.sin(theta), omega])
 
-    y0 = np.array([state.x, state.y, state.theta])
-    k1 = deriv(y0[2])
-    k2 = deriv(y0[2] + 0.5 * dt * k1[2])
-    k3 = deriv(y0[2] + 0.5 * dt * k2[2])
-    k4 = deriv(y0[2] + dt * k3[2])
-    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return RobotState(x=float(y1[0]), y=float(y1[1]), theta=wrap_angle(float(y1[2])))
+@lru_cache(maxsize=8)
+def _beam_angles(beams: int) -> np.ndarray:
+    """Robot-frame angles of beams evenly spaced over a full turn, read-only."""
+    angles = 2.0 * np.pi * np.arange(beams) / beams
+    angles.setflags(write=False)
+    return angles
 
 
 def cast_lidar(world: World, robot: RobotState, spec: LidarSpec,
@@ -199,9 +215,9 @@ def cast_lidar(world: World, robot: RobotState, spec: LidarSpec,
     applied to hit ranges only, clipped so a noisy hit can never turn into a
     max-range miss.
     """
-    beams = spec.beam_count
-    angles = 2.0 * np.pi * np.arange(beams) / beams
-    dirs = np.stack([np.cos(robot.theta + angles), np.sin(robot.theta + angles)], axis=1)
+    angles = _beam_angles(spec.beam_count)
+    world_angles = robot.theta + angles
+    dirs = np.stack([np.cos(world_angles), np.sin(world_angles)], axis=1)
     to_center = world.centres - robot.position
     radii, radius_sq = world.radii, world.radius_sq
     # (K, 1, 2) @ (K, 2, 1) and (1, B, 2) @ (K, 2, 1) round exactly as one
@@ -230,4 +246,4 @@ def cast_lidar(world: World, robot: RobotState, spec: LidarSpec,
     if spec.noise_sigma > 0.0 and rng is not None and np.any(hits):
         noisy = ranges[hits] + rng.normal(0.0, spec.noise_sigma, int(hits.sum()))
         ranges[hits] = np.clip(noisy, 1e-6, np.nextafter(spec.max_range, 0.0))
-    return LidarScan(angles=angles, ranges=ranges, hits=hits)
+    return LidarScan(angles=angles, ranges=ranges, hits=hits, directions=dirs)

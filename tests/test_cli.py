@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gpnav
+from gpnav.bench import max_dataset_size
 from gpnav.cli import main
 from gpnav.scenario import resolve_scenario
 
@@ -298,6 +304,27 @@ def test_bench_rejects_bad_input_with_usage_error(argv, message, capsys):
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_bench_refuses_sizes_over_the_placement_bound(capsys):
+    limit = max_dataset_size()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--sizes", f"5,{limit + 1}", "--reps", "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument --sizes: {limit + 1} is over the dataset size limit {limit}"
+            in captured.err)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(gpnav.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "gpnav", "bench", "--sizes", "1", "--reps", "1"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "mean_ms" in done.stdout
 
 
 @pytest.mark.parametrize("cases", ["0", "-4"])

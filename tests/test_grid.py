@@ -6,7 +6,8 @@ import pytest
 from gpnav.perception.clustering import NOISE
 from gpnav.perception.grid import (GridSpec, ObstacleGridMap, build_velocity_grid,
                                    grid_origin, update_obstacle_grid)
-from gpnav.simworld import LidarScan, RobotState
+from gpnav.simworld import (LidarSpec, LidarScan, Obstacle, RobotState, World,
+                            cast_lidar)
 
 SPEC = GridSpec(width=60, height=60, resolution=0.2)
 
@@ -23,8 +24,11 @@ def scan_with_hits(hits_world, robot, max_range=6.0, beams=8):
         angles.append(0.0)
         ranges.append(max_range)
         flags.append(False)
+    world_angles = robot.theta + np.array(angles)
     return LidarScan(angles=np.array(angles), ranges=np.array(ranges),
-                     hits=np.array(flags))
+                     hits=np.array(flags),
+                     directions=np.stack([np.cos(world_angles),
+                                          np.sin(world_angles)], axis=1))
 
 
 class TestObstacleGrid:
@@ -166,3 +170,71 @@ def test_origin_is_lattice_aligned():
         origin = grid_origin(pos, SPEC)
         assert np.allclose(origin / SPEC.resolution,
                            np.round(origin / SPEC.resolution), atol=1e-9)
+
+
+def _rounded_origin(robot_position, spec):
+    """grid_origin in its former array form, with np.round."""
+    res = spec.resolution
+    center = np.round(np.asarray(robot_position, dtype=float) / res) * res
+    return center - res * np.array([spec.width, spec.height]) / 2.0
+
+
+ORIGIN_SPECS = [SPEC, GridSpec(width=41, height=7, resolution=0.05),
+                GridSpec(width=1, height=1000, resolution=0.25),
+                GridSpec(width=33, height=60, resolution=0.3)]
+
+
+@pytest.mark.parametrize("spec", ORIGIN_SPECS)
+def test_float_origin_matches_np_round_form(spec):
+    rng = np.random.default_rng(spec.width)
+    res = spec.resolution
+    positions = list(rng.uniform(-500.0, 500.0, (2000, 2)))
+    positions += list(rng.uniform(-2.0 * res, 2.0 * res, (500, 2)))
+    # exact half-cell ties, which round to the even neighbour
+    halves = (rng.integers(-3000, 3000, 4000) + 0.5) * res
+    ties = halves[halves / res == np.floor(halves / res) + 0.5]
+    assert len(ties) > 100
+    positions += list(ties[:len(ties) // 2 * 2].reshape(-1, 2))
+    # signed zeros, and values that round to -0.0 (np.round) or 0 (round)
+    positions += [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.25 * res, 0.1 * res),
+                  (-0.5 * res, -0.5 * res), (0.5 * res, -1e-300)]
+    for position in positions:
+        want = _rounded_origin(position, spec).tobytes()
+        assert grid_origin(tuple(position), spec).tobytes() == want
+        assert grid_origin(np.asarray(position), spec).tobytes() == want
+
+
+def _angle_grid(scan, robot, spec):
+    """update_obstacle_grid in its former form: endpoints from cos/sin of the
+    hit beams' world angles. Returns (origin, occupied)."""
+    origin = _rounded_origin(robot.position, spec)
+    occupied = np.zeros((spec.width, spec.height), dtype=bool)
+    hits = scan.hits
+    if np.any(hits):
+        world_angles = robot.theta + scan.angles[hits]
+        endpoints = robot.position + scan.ranges[hits, None] * np.stack(
+            [np.cos(world_angles), np.sin(world_angles)], axis=1)
+        cells = np.floor((endpoints - origin) / spec.resolution).astype(int)
+        inside = ((cells[:, 0] >= 0) & (cells[:, 0] < spec.width)
+                  & (cells[:, 1] >= 0) & (cells[:, 1] < spec.height))
+        cells = cells[inside]
+        occupied[cells[:, 0], cells[:, 1]] = True
+    return origin, occupied
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_from_scan_directions_matches_hit_angle_form(seed):
+    rng = np.random.default_rng(seed)
+    spec = ORIGIN_SPECS[seed]
+    lidar = LidarSpec(beam_count=int(rng.choice([7, 90, 360, 1440])),
+                      noise_sigma=float(rng.choice([0.0, 0.03])))
+    for _ in range(40):
+        robot = RobotState(*rng.uniform(-30.0, 30.0, 2), rng.uniform(-np.pi, np.pi))
+        world = World([Obstacle(f"o{i}", rng.uniform(0.1, 1.0),
+                                robot.position + rng.uniform(-7.0, 7.0, 2))
+                       for i in range(int(rng.integers(0, 25)))])
+        scan = cast_lidar(world, robot, lidar, rng)
+        grid = update_obstacle_grid(scan, robot, spec)
+        origin, occupied = _angle_grid(scan, robot, spec)
+        assert grid.origin.tobytes() == origin.tobytes()
+        assert np.array_equal(grid.occupied, occupied)

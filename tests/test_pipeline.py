@@ -33,9 +33,12 @@ def scan_marking(cells, robot):
     """A scan whose beams end at the centres of the given grid cells."""
     centres = grid_origin(robot.position, SPEC) + SPEC.resolution * (cells + 0.5)
     rel = centres - robot.position
-    return LidarScan(angles=np.arctan2(rel[:, 1], rel[:, 0]) - robot.theta,
-                     ranges=np.linalg.norm(rel, axis=1),
-                     hits=np.ones(len(cells), dtype=bool))
+    angles = np.arctan2(rel[:, 1], rel[:, 0]) - robot.theta
+    world_angles = robot.theta + angles
+    return LidarScan(angles=angles, ranges=np.linalg.norm(rel, axis=1),
+                     hits=np.ones(len(cells), dtype=bool),
+                     directions=np.stack([np.cos(world_angles),
+                                          np.sin(world_angles)], axis=1))
 
 
 def scenario_frames(name, count):

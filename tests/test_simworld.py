@@ -375,3 +375,57 @@ def test_stacked_world_matches_per_obstacle_closed_form(seed):
         squared = np.matmul(offsets[:, None, :], offsets[:, :, None]).ravel().tolist()
         assert world.clearance(robot.position) == min(
             math.sqrt(sq) - ref.radius for sq, ref in zip(squared, reference))
+
+
+def _array_rk4(state, control, dt):
+    """step_dynamics in its former array form: the oracle for the float form."""
+    v, omega = float(control.v), float(control.omega)
+
+    def deriv(theta):
+        return np.array([v * np.cos(theta), v * np.sin(theta), omega])
+
+    y0 = np.array([state.x, state.y, state.theta])
+    k1 = deriv(y0[2])
+    k2 = deriv(y0[2] + 0.5 * dt * k1[2])
+    k3 = deriv(y0[2] + 0.5 * dt * k2[2])
+    k4 = deriv(y0[2] + dt * k3[2])
+    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return RobotState(x=float(y1[0]), y=float(y1[1]), theta=wrap_angle(float(y1[2])))
+
+
+def test_float_rk4_matches_array_form_bit_for_bit():
+    rng = np.random.default_rng(22)
+    count = 10_000
+    poses = rng.uniform([-60.0, -60.0, -np.pi], [60.0, 60.0, np.pi], (count, 3))
+    controls = rng.uniform([-2.0, -6.0], [2.0, 6.0], (count, 2))
+    controls[::7, 1] = 0.0                                 # straight runs
+    controls[3::11, 0] = 0.0                               # turns in place
+    dts = np.where(rng.random(count) < 0.5, 0.05, rng.uniform(1e-4, 1.0, count))
+    for (x, y, theta), (v, omega), dt in zip(poses.tolist(), controls.tolist(),
+                                             dts.tolist()):
+        state = RobotState(x, y, theta)
+        control = ControlInput(v, omega)
+        got = step_dynamics(state, control, dt)
+        want = _array_rk4(state, control, dt)
+        assert (np.array([got.x, got.y, got.theta]).tobytes()
+                == np.array([want.x, want.y, want.theta]).tobytes())
+        assert type(got.x) is type(got.y) is type(got.theta) is float
+
+
+@pytest.mark.parametrize("beams", [1, 7, 360])
+def test_scan_directions_are_the_world_frame_beam_vectors(beams):
+    """directions is (cos, sin) of heading + angle, bit for bit."""
+    rng = np.random.default_rng(beams)
+    spec = LidarSpec(beam_count=beams)
+    world = World([Obstacle("c", 0.5, np.array([2.0, 1.0]))])
+    for _ in range(40):
+        robot = RobotState(*rng.uniform(-3.0, 3.0, 2), rng.uniform(-np.pi, np.pi))
+        scan = cast_lidar(world, robot, spec)
+        assert (scan.angles.tobytes()
+                == (2.0 * np.pi * np.arange(beams) / beams).tobytes())
+        world_angles = robot.theta + scan.angles
+        expected = np.stack([np.cos(world_angles), np.sin(world_angles)], axis=1)
+        assert scan.directions.shape == (beams, 2)
+        assert scan.directions.tobytes() == expected.tobytes()
+    # the cached angles are shared between scans, so nothing may write them
+    assert not scan.angles.flags.writeable

@@ -162,6 +162,16 @@ def test_factorization_failure_exits_three(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_jitter_at_its_bound_still_arrives_on_head_on(tmp_path, capsys):
+    # far above the kernel's unit variance the jitter flattens the barrier
+    # (head_on collides at jitter 100); at the bound of 1 the run arrives
+    path = tmp_path / "jittered.yaml"
+    path.write_text(resolve_scenario("head_on").read_text()
+                    + "kernel: {jitter: 1.0}\n")
+    assert main(["run", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["collision"] is False
+
+
 def test_zero_center_noise_exits_two(tmp_path, capsys):
     # with no position noise at all the Kalman gain divides zero by zero
     path = tmp_path / "rigid.yaml"

@@ -1,5 +1,10 @@
 """GP regression: kernel, model construction, and the mean-and-derivatives pass."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from gpnav.gp import (FactorizationFailure, KernelParams, build_model, grid_mean
 
 PARAMS = KernelParams(length_scale=0.9, jitter=1e-8)
 EXACT = KernelParams(length_scale=0.9, jitter=0.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_model(rng, n, spread=3.0, params=PARAMS):
@@ -378,3 +384,46 @@ def test_grid_mean_matches_mean_terms(n):
             reference = mean_terms(model, queries)[0]
             rel = np.abs(mu.ravel() - reference) / np.abs(reference)
             assert np.max(rel) <= 1e-11
+
+
+def run_fresh(*lines):
+    """Run the lines in a fresh interpreter that imports gpnav from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                   env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+class TestColdStart:
+    def test_no_gpnav_module_loads_scipy_linalg_optimize_or_f2py(self):
+        run_fresh(
+            "import importlib, pkgutil, sys",
+            "import gpnav, gpnav.perception",
+            "for package in (gpnav, gpnav.perception):",
+            "    for info in pkgutil.iter_modules(package.__path__):",
+            "        if info.name != '__main__':",
+            "            importlib.import_module(f'{package.__name__}.{info.name}')",
+            "assert 'gpnav.perception.tracking' in sys.modules",
+            "loaded = [name for name in sys.modules if name.split('.')[:2] in",
+            "          (['scipy', 'linalg'], ['scipy', 'optimize'], ['numpy', 'f2py'])",
+            "          and name != 'scipy.linalg._flapack']",
+            "assert not loaded, loaded")
+
+    @pytest.mark.parametrize("first, second", [
+        ("gpnav.gp", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "gpnav.gp")])
+    def test_one_copy_of_lapack_in_either_import_order(self, first, second):
+        run_fresh(
+            f"import {first}, {second}, sys",
+            "import gpnav.gp as gp, scipy.linalg.lapack as lapack",
+            "assert gp.dpotrf is lapack.dpotrf and gp.dpotrs is lapack.dpotrs",
+            "assert lapack._flapack is sys.modules['scipy.linalg._flapack']")
+
+    def test_falls_back_to_the_public_module_without_the_file(self):
+        run_fresh(
+            "import importlib.machinery, sys",
+            "importlib.machinery.EXTENSION_SUFFIXES = ['.missing']",
+            "import gpnav.gp as gp",
+            "assert 'scipy.linalg.lapack' in sys.modules",
+            "import scipy.linalg.lapack as lapack",
+            "assert gp.dpotrf is lapack.dpotrf and gp.dpotrs is lapack.dpotrs",
+            "model = gp.build_model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])",
+            "assert model.chol_lower.shape == (3, 3) and model.alpha.all()")

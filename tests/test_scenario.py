@@ -327,6 +327,7 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
     ("perception.grid.height", 1001,
      "perception.grid: grid height must be <= 1000"),
     ("kernel.length_scale", 1.0e300, "kernel: length_scale must be <= 1e3"),
+    ("kernel.jitter", 1.0000000000000002, "kernel: jitter must be <= 1"),
     ("obstacles[0].radius", 1.0e160, "obstacles[0]: radius must be <= 1e3"),
     ("perception.grid.resolution", 1.0e300,
      "perception.grid: grid resolution must be <= 1e3"),
@@ -365,6 +366,7 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: ControllerParams(u_max=float("nan")), "u_max"),
     (lambda: TrackerParams(min_speed=float("nan")), "min_speed"),
     (lambda: KernelParams(length_scale=1.0e300), "length_scale must be <= 1e3"),
+    (lambda: KernelParams(jitter=float("inf")), "jitter must be <= 1"),
     (lambda: ObstacleConfig("a", 1.0e160, (0.0, 0.0)), "radius must be <= 1e3"),
     (lambda: GridSpec(resolution=1.0e300), "resolution must be <= 1e3"),
     (lambda: GridSpec(width=1001), "width must be <= 1000"),

@@ -23,6 +23,9 @@ class EmptyDataset(Exception):
 
 VARIANTS = ("dlgp", "dlgp-no-dhdt", "gp-linear")
 
+# Offset of the non-log ablation variant gp-linear, h = LINEAR_PRIOR - mu.
+LINEAR_PRIOR = 0.9
+
 
 @dataclass(frozen=True)
 class BarrierParams:
@@ -31,14 +34,12 @@ class BarrierParams:
     scale multiplies the log term, margin_shift shifts the zero level to
     carve a safety margin around the data, and mu_floor bounds the mean away
     from zero before the logarithm (far from all data the posterior mean can
-    round to or below zero). linear_prior is the offset used by the non-log
-    ablation variant, h = linear_prior - mu.
+    round to or below zero).
     """
 
     scale: float = 1.0
     margin_shift: float = 0.1
     mu_floor: float = 1e-12
-    linear_prior: float = 0.9
 
     def __post_init__(self) -> None:
         for name in ("scale", "margin_shift"):
@@ -125,7 +126,7 @@ def evaluate_full(model: GpModel, params: BarrierParams, position, velocities,
 
     if variant == "gp-linear":
         grad_pos = -grad_q[0]
-        return BarrierEvaluation(value=params.linear_prior - mu,
+        return BarrierEvaluation(value=LINEAR_PRIOR - mu,
                                  grad_state=np.array([grad_pos[0], grad_pos[1], 0.0]),
                                  time_derivative=-float(rate_q[0]), mu=mu,
                                  clamped=False)

@@ -26,6 +26,9 @@ from .simworld import RobotState
 # heading into v = v_max (1 + 2.2e-16), which is not saturation.
 SATURATION_RTOL = 1e-9
 
+# Distance to the goal inside which the nominal command is zero.
+GOAL_DEADBAND = 0.05               # m
+
 
 class InfeasibleConstraint(Exception):
     """The safety halfspace is empty (zero gradient with negative offset)."""
@@ -53,15 +56,12 @@ class ControllerParams:
     u_max: float = 0.8             # m/s, nominal command magnitude
     v_max: float = 0.8             # m/s, linear saturation
     omega_max: float = 2.0         # rad/s, angular saturation
-    goal_deadband: float = 0.05    # m
     variant: str = "dlgp"
 
     def __post_init__(self) -> None:
         for name in ("alpha_slope", "lead_offset", "u_max", "v_max", "omega_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if not self.goal_deadband >= 0.0:
-            raise ValueError("goal_deadband must be >= 0")
         if self.variant not in barrier.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"expected one of {list(barrier.VARIANTS)}")
@@ -79,7 +79,8 @@ class ControlDiagnostics:
     qp_ms: float = 0.0
 
 
-def nominal_goal(position, goal, u_max: float, deadband: float = 0.05) -> np.ndarray:
+def nominal_goal(position, goal, u_max: float,
+                 deadband: float = GOAL_DEADBAND) -> np.ndarray:
     """Unit-direction go-to-goal command scaled to u_max; zero inside the deadband."""
     if u_max <= 0.0:
         raise ValueError("u_max must be > 0")
@@ -154,8 +155,7 @@ def control_step(robot: RobotState, model: GpModel | None, velocities,
     the lead velocity mapped to (v, omega), clipped and flagged if clipped.
     """
     diag = ControlDiagnostics()
-    u_nom = u_lead = nominal_goal((robot.x, robot.y), goal, params.u_max,
-                                  params.goal_deadband)
+    u_nom = u_lead = nominal_goal((robot.x, robot.y), goal, params.u_max)
     evaluation = None
     if model is None or model.size == 0:
         diag.fallback = "empty"

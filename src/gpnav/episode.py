@@ -127,8 +127,7 @@ def run_episode(cfg: ScenarioConfig, on_step=None) -> tuple[TrajectoryLog, Metri
     log = TrajectoryLog()
     arrival_time: float | None = None
 
-    max_steps = int(round(cfg.max_time / cfg.dt))
-    for step in range(max_steps + 1):
+    for step in range(cfg.max_steps + 1):
         t = step * cfg.dt
         position = robot.position
         clearance = world.clearance(position)

@@ -93,11 +93,9 @@ class PerceptionPipeline:
                     for start, end, shift in zip(starts, ends, shifts)]
 
         assignment = self.tracker.step(ellipses, dt)
-        tracker_params = params.tracker
+        min_speed = params.tracker.min_speed
         velocity_grid = build_velocity_grid(labels, [
-            assignment[j].velocity(tracker_params.min_velocity_age,
-                                   tracker_params.min_speed)
-            for j in range(count)])
+            assignment[j].velocity(min_speed=min_speed) for j in range(count)])
         return PerceptionFrame(obstacle_grid=grid, velocity_grid=velocity_grid,
                                points=grid.points, labels=labels,
                                ellipses=ellipses, cluster_ids=list(range(count)),

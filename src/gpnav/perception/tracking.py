@@ -21,14 +21,15 @@ import numpy as np
 
 from .ellipse import Ellipse
 
+MAX_MISSES = 5         # consecutive predict-only frames before a track is dropped
+MIN_VELOCITY_AGE = 2   # updates before a track reports velocity
+
 
 @dataclass(frozen=True)
 class TrackerParams:
-    """Association gate, lifecycle limits, and filter noise densities."""
+    """Association gate, velocity spike guard, and filter noise densities."""
 
     d_max: float = 1.0             # m, association gate on center distance
-    max_misses: int = 5            # consecutive predict-only frames before drop
-    min_velocity_age: int = 2      # updates before a track reports velocity
     min_speed: float = 0.0         # m/s, report zero below this (spike guard)
     q_pos: float = 1e-4
     q_vel: float = 1e-2
@@ -36,9 +37,8 @@ class TrackerParams:
     r_center: float = 4e-4         # (2 cm)^2
 
     def __post_init__(self) -> None:
-        for name in ("d_max", "max_misses"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        if not self.d_max > 0.0:
+            raise ValueError("d_max must be > 0")
         for name in ("min_speed", "q_pos", "q_vel", "q_acc", "r_center"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0")
@@ -66,7 +66,7 @@ class TrackedObstacle:
     age: int = 0
     misses: int = 0
 
-    def velocity(self, min_age: int = 2,
+    def velocity(self, min_age: int = MIN_VELOCITY_AGE,
                  min_speed: float = 0.0) -> tuple[float, float]:
         """Estimated center velocity; zero until the track has warmed up.
 
@@ -305,7 +305,7 @@ class ObstacleTracker:
                                          self.params)
         for ti in unmatched_tracks:
             kalman_step(tracks[ti], None, dt, self.params)
-        self.tracks = [t for t in tracks if t.misses < self.params.max_misses]
+        self.tracks = [t for t in tracks if t.misses < MAX_MISSES]
         for dj in unmatched_dets:
             track = new_track(self._next_id, detections[dj], self.params)
             self._next_id += 1

@@ -26,9 +26,12 @@ from .simworld import MotionSpec, Obstacle, World, LidarSpec
 
 SCHEMA_VERSION = 1
 
+# Control steps one episode may take; the shipped scenarios take 1,200.
+MAX_STEPS = 100_000
+
 
 class ParseError(Exception):
-    """Scenario file is missing or not well-formed YAML."""
+    """Scenario file is missing, unreadable or not well-formed YAML."""
 
 
 class ValidationError(Exception):
@@ -86,6 +89,15 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be > 0")
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
+        # the quotient overflows to inf before round() could refuse it
+        if not (self.max_time / self.dt < MAX_STEPS + 1
+                and self.max_steps <= MAX_STEPS):
+            raise ValueError(f"max_time / dt must be <= {MAX_STEPS} steps")
+
+    @property
+    def max_steps(self) -> int:
+        """Steps of dt from t = 0 to max_time, as the episode loop counts them."""
+        return int(round(self.max_time / self.dt))
 
 
 def with_variant(cfg: ScenarioConfig, variant: str) -> ScenarioConfig:
@@ -129,7 +141,12 @@ def load_scenario(path) -> ScenarioConfig:
     if not path.exists():
         raise ParseError(f"scenario file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(data, dict):

@@ -55,24 +55,20 @@ class MotionSpec:
 
 @dataclass
 class Obstacle:
-    """Circular obstacle; spawn is the center at t = 0.
+    """Circular obstacle description; spawn is the center at t = 0.
 
-    Once in a World, center is a row of the world's stacked centres and
-    moves with them.
+    A World reads it once and moves its own copy of the centres.
     """
 
     obstacle_id: str
     radius: float
     spawn: np.ndarray
     motion: MotionSpec = field(default_factory=MotionSpec)
-    center: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
             raise ValueError("obstacle radius must be > 0")
         self.spawn = np.asarray(self.spawn, dtype=float)
-        if self.center is None:
-            self.center = self.spawn.copy()
 
 
 def _pairs(rows) -> np.ndarray:
@@ -87,30 +83,28 @@ def _unit(axis) -> np.ndarray:
 
 
 class World:
-    """Owns the obstacles and the simulation clock.
+    """Owns the obstacles' state and the simulation clock.
 
-    The obstacles' state is stacked once, on construction: centres (K, 2),
+    On construction it stacks, from the obstacles' spawns, centres (K, 2),
     radii and radius_sq (K,), and per motion kind the indices of its
-    obstacles and their parameters. advance moves the centres in place with
-    one array operation per moving kind, elementwise exactly as each
-    obstacle's own closed form.
+    obstacles and their parameters; it keeps no Obstacle and writes none.
+    advance moves the centres in place with one array operation per moving
+    kind, elementwise exactly as each obstacle's own closed form.
     """
 
     def __init__(self, obstacles: list[Obstacle] | None = None) -> None:
-        self.obstacles = obstacles or []
+        obstacles = obstacles or []
         self.time = 0.0
-        self.centres = _pairs([ob.center for ob in self.obstacles])
-        for ob, row in zip(self.obstacles, self.centres):
-            ob.center = row                          # a view into centres
-        self.radii = np.array([ob.radius for ob in self.obstacles], dtype=float)
-        self.radius_sq = np.array([ob.radius**2 for ob in self.obstacles],
+        self.centres = _pairs([ob.spawn for ob in obstacles])
+        self.radii = np.array([ob.radius for ob in obstacles], dtype=float)
+        self.radius_sq = np.array([ob.radius**2 for ob in obstacles],
                                   dtype=float)      # libm pow, not r * r
         self._radius_list = self.radii.tolist()
-        moving = [(i, ob) for i, ob in enumerate(self.obstacles)
+        moving = [(i, ob) for i, ob in enumerate(obstacles)
                   if ob.motion.kind == "velocity"]
         self._moving = np.array([i for i, _ in moving], dtype=np.intp)
         self._velocity = _pairs([ob.motion.velocity for _, ob in moving])
-        swinging = [(i, ob) for i, ob in enumerate(self.obstacles)
+        swinging = [(i, ob) for i, ob in enumerate(obstacles)
                     if ob.motion.kind == "sinusoid"]
         self._swinging = np.array([i for i, _ in swinging], dtype=np.intp)
         self._swing_spawn = _pairs([ob.spawn for _, ob in swinging])
@@ -136,7 +130,7 @@ class World:
 
     def clearance(self, point) -> float:
         """Distance from a point to the nearest obstacle boundary (inf if none)."""
-        if not self.obstacles:
+        if not self._radius_list:
             return float("inf")
         offsets = np.asarray(point, dtype=float) - self.centres
         # (K, 1, 2) @ (K, 2, 1) rounds as np.linalg.norm's own dot product does
@@ -163,13 +157,12 @@ class LidarSpec:
 
 @dataclass
 class LidarScan:
-    """Beam angles are in the robot frame; range == max_range marks a miss.
+    """One range per beam; range == max_range marks a miss.
 
     directions holds each beam's (B, 2) unit vector in the world frame,
-    (cos, sin) of robot heading + angle.
+    (cos, sin) of robot heading + the beam's robot-frame angle.
     """
 
-    angles: np.ndarray
     ranges: np.ndarray
     hits: np.ndarray
     directions: np.ndarray
@@ -215,8 +208,7 @@ def cast_lidar(world: World, robot: RobotState, spec: LidarSpec,
     applied to hit ranges only, clipped so a noisy hit can never turn into a
     max-range miss.
     """
-    angles = _beam_angles(spec.beam_count)
-    world_angles = robot.theta + angles
+    world_angles = robot.theta + _beam_angles(spec.beam_count)
     dirs = np.stack([np.cos(world_angles), np.sin(world_angles)], axis=1)
     to_center = world.centres - robot.position
     radii, radius_sq = world.radii, world.radius_sq
@@ -246,4 +238,4 @@ def cast_lidar(world: World, robot: RobotState, spec: LidarSpec,
     if spec.noise_sigma > 0.0 and rng is not None and np.any(hits):
         noisy = ranges[hits] + rng.normal(0.0, spec.noise_sigma, int(hits.sum()))
         ranges[hits] = np.clip(noisy, 1e-6, np.nextafter(spec.max_range, 0.0))
-    return LidarScan(angles=angles, ranges=ranges, hits=hits, directions=dirs)
+    return LidarScan(ranges=ranges, hits=hits, directions=dirs)

@@ -239,13 +239,13 @@ class TestVariants:
         lin_far = evaluate_full(model, PARAMS, (6.0, 0.0), zeros, variant="gp-linear")
         log_far = evaluate_full(model, PARAMS, (6.0, 0.0), zeros, variant="dlgp")
         log_mid = evaluate_full(model, PARAMS, (3.0, 0.0), zeros, variant="dlgp")
-        assert lin_far.value == pytest.approx(PARAMS.linear_prior, abs=1e-9)
+        assert lin_far.value == pytest.approx(barrier.LINEAR_PRIOR, abs=1e-9)
         assert np.linalg.norm(lin_far.grad_state[:2]) < 1e-6
         assert not log_far.clamped
         assert np.linalg.norm(log_far.grad_state[:2]) > 1e-3
         assert np.linalg.norm(log_mid.grad_state[:2]) > 1e-3
         assert lin_mid.value == pytest.approx(
-            PARAMS.linear_prior - np.exp(-9.0 / 1.62), abs=1e-9)
+            barrier.LINEAR_PRIOR - np.exp(-9.0 / 1.62), abs=1e-9)
 
     def test_unknown_variant_rejected(self):
         model = build_model([[0.0, 0.0]], params=KERNEL)

@@ -205,6 +205,27 @@ def test_run_unknown_scenario_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run"],
+                                  ["compare", "--variants", "dlgp,gp-linear"]],
+                         ids=["run", "compare"])
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+def test_unreadable_scenario_path_exits_two(argv, unreadable, tmp_path, capsys):
+    path = tmp_path / "scenario"
+    if unreadable == "directory":
+        path.mkdir()
+        reason = "cannot read"
+    else:
+        path.write_bytes(QUICK_SCENARIO.replace("quick", "qu\xefck").encode("latin-1"))
+        reason = "not UTF-8 text"
+    code = main([*argv, str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {reason}")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_run_seed_override(quick_scenario, capsys):
     code = main(["run", str(quick_scenario), "--seed", "123"])
     assert code == 0

@@ -7,7 +7,7 @@ from gpnav.perception.clustering import NOISE
 from gpnav.perception.grid import (GridSpec, ObstacleGridMap, build_velocity_grid,
                                    grid_origin, update_obstacle_grid)
 from gpnav.simworld import (LidarSpec, LidarScan, Obstacle, RobotState, World,
-                            cast_lidar)
+                            _beam_angles, cast_lidar)
 
 SPEC = GridSpec(width=60, height=60, resolution=0.2)
 
@@ -25,8 +25,7 @@ def scan_with_hits(hits_world, robot, max_range=6.0, beams=8):
         ranges.append(max_range)
         flags.append(False)
     world_angles = robot.theta + np.array(angles)
-    return LidarScan(angles=np.array(angles), ranges=np.array(ranges),
-                     hits=np.array(flags),
+    return LidarScan(ranges=np.array(ranges), hits=np.array(flags),
                      directions=np.stack([np.cos(world_angles),
                                           np.sin(world_angles)], axis=1))
 
@@ -211,7 +210,7 @@ def _angle_grid(scan, robot, spec):
     occupied = np.zeros((spec.width, spec.height), dtype=bool)
     hits = scan.hits
     if np.any(hits):
-        world_angles = robot.theta + scan.angles[hits]
+        world_angles = robot.theta + _beam_angles(len(hits))[hits]
         endpoints = robot.position + scan.ranges[hits, None] * np.stack(
             [np.cos(world_angles), np.sin(world_angles)], axis=1)
         cells = np.floor((endpoints - origin) / spec.resolution).astype(int)

@@ -35,7 +35,7 @@ def scan_marking(cells, robot):
     rel = centres - robot.position
     angles = np.arctan2(rel[:, 1], rel[:, 0]) - robot.theta
     world_angles = robot.theta + angles
-    return LidarScan(angles=angles, ranges=np.linalg.norm(rel, axis=1),
+    return LidarScan(ranges=np.linalg.norm(rel, axis=1),
                      hits=np.ones(len(cells), dtype=bool),
                      directions=np.stack([np.cos(world_angles),
                                           np.sin(world_angles)], axis=1))

@@ -71,9 +71,8 @@ class TestDefaults:
 
     def test_shipped_tracker_and_sensor_configs(self):
         # every field written out, so a moved default shows here
-        tracker = TrackerParams(d_max=1.0, max_misses=5, min_velocity_age=2,
-                                min_speed=0.12, q_pos=1e-4, q_vel=1e-3,
-                                q_acc=1e-3, r_center=1e-2)
+        tracker = TrackerParams(d_max=1.0, min_speed=0.12, q_pos=1e-4,
+                                q_vel=1e-3, q_acc=1e-3, r_center=1e-2)
         sensor = LidarSpec(beam_count=360, max_range=6.0, noise_sigma=0.0)
         shipped = canonical_scenarios()
         assert len(shipped) == 5
@@ -180,8 +179,8 @@ def test_build_world_fresh_instances():
     cfg = scenario_from_dict(MINIMAL)
     world_a = build_world(cfg)
     world_b = build_world(cfg)
-    world_a.obstacles[0].center += 1.0
-    assert world_b.obstacles[0].center[0] == 1.0
+    world_a.centres[0] += 1.0
+    assert world_b.centres[0][0] == 1.0
 
 
 # every key of the schema, each set away from its default
@@ -199,18 +198,14 @@ FULL = {
                     "period": 4.0}},
     ],
     "controller": {"alpha_slope": 0.3, "lead_offset": 0.25, "u_max": 0.7,
-                   "v_max": 0.9, "omega_max": 1.5, "goal_deadband": 0.02,
-                   "variant": "gp-linear"},
-    "barrier": {"scale": 2.0, "margin_shift": 0.2, "mu_floor": 1.0e-11,
-                "linear_prior": 0.8},
+                   "v_max": 0.9, "omega_max": 1.5, "variant": "gp-linear"},
+    "barrier": {"scale": 2.0, "margin_shift": 0.2, "mu_floor": 1.0e-11},
     "kernel": {"length_scale": 0.8, "jitter": 1.0e-7},
     "perception": {"grid": {"width": 50, "height": 40, "resolution": 0.25},
                    "clustering": {"eps": 0.4, "min_pts": 3},
                    "mvee_tolerance": 1.0e-3, "dataset_cap": 50,
-                   "tracker": {"d_max": 0.9, "max_misses": 4,
-                               "min_velocity_age": 3, "min_speed": 0.1,
-                               "q_pos": 2.0e-4, "q_vel": 2.0e-2, "q_acc": 0.2,
-                               "r_center": 5.0e-4}},
+                   "tracker": {"d_max": 0.9, "min_speed": 0.1, "q_pos": 2.0e-4,
+                               "q_vel": 2.0e-2, "q_acc": 0.2, "r_center": 5.0e-4}},
     "sensor": {"beams": 90, "max_range": 5.0, "noise_sigma": 0.01},
 }
 
@@ -220,9 +215,8 @@ FLOAT_KEYS = [
     "obstacles[0].radius", "obstacles[2].motion.amplitude",
     "obstacles[2].motion.period",
     *(f"controller.{k}" for k in ("alpha_slope", "lead_offset", "u_max", "v_max",
-                                  "omega_max", "goal_deadband")),
-    *(f"barrier.{k}" for k in ("scale", "margin_shift", "mu_floor",
-                               "linear_prior")),
+                                  "omega_max")),
+    *(f"barrier.{k}" for k in ("scale", "margin_shift", "mu_floor")),
     "kernel.length_scale", "kernel.jitter", "perception.grid.resolution",
     "perception.clustering.eps", "perception.mvee_tolerance",
     *(f"perception.tracker.{k}" for k in ("d_max", "min_speed", "q_pos", "q_vel",
@@ -262,12 +256,12 @@ def test_every_key_lands_in_its_field(tmp_path):
         name="full", goal=GoalConfig((4.0, -0.5), 0.25),
         robot=RobotConfig((-2.0, 0.5), 0.1), obstacles=obstacles, seed=7,
         dt=0.04, max_time=0.5,
-        controller=ControllerParams(0.3, 0.25, 0.7, 0.9, 1.5, 0.02, "gp-linear"),
-        barrier=BarrierParams(2.0, 0.2, 1e-11, 0.8),
+        controller=ControllerParams(0.3, 0.25, 0.7, 0.9, 1.5, "gp-linear"),
+        barrier=BarrierParams(2.0, 0.2, 1e-11),
         kernel=KernelParams(0.8, 1e-7),
         perception=PerceptionParams(
             GridSpec(50, 40, 0.25), ClusteringParams(0.4, 3), 1e-3,
-            TrackerParams(0.9, 4, 3, 0.1, 2e-4, 2e-2, 0.2, 5e-4), 50),
+            TrackerParams(0.9, 0.1, 2e-4, 2e-2, 0.2, 5e-4), 50),
         sensor=LidarSpec(90, 5.0, 0.01))
     assert scenario_from_dict(FULL) == expected
     path = tmp_path / "full.yaml"
@@ -290,11 +284,16 @@ def test_every_schema_annotation_has_a_reader():
                     MotionSpec, ControllerParams, BarrierParams, KernelParams,
                     PerceptionParams, ClusteringParams, GridSpec, TrackerParams,
                     LidarSpec}
+    # settable values: every field that is not a section; obstacles, a list
+    # of ObstacleConfig sections, is not one
+    leaves = [name for cls in seen for name, hint in get_type_hints(cls).items()
+              if not is_dataclass(hint) and hint != tuple[ObstacleConfig, ...]]
+    assert len(leaves) == 43
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_nan_is_refused_by_key(key, tmp_path, capsys):
-    assert len(FLOAT_KEYS) == 30
+    assert len(FLOAT_KEYS) == 28
     assert run_file(tmp_path, with_value(key, float("nan"))) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: expected a finite number")
@@ -336,6 +335,7 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
      "perception.clustering: min_pts must be > 0"),
     ("perception.clustering.eps", 2.6,
      "perception: clustering.eps must be <= 10 * grid.resolution"),
+    ("dt", 1.0e-9, "max_time / dt must be <= 100000 steps"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -343,6 +343,17 @@ def test_class_bounds_exit_two_with_section_and_field(key, value, message,
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+def test_episode_length_bound_counts_steps_as_the_episode_does():
+    goal = GoalConfig((1.0, 0.0))
+    at_bound = ScenarioConfig("s", goal, dt=0.001, max_time=100.0)
+    assert at_bound.max_steps == 100_000
+    with pytest.raises(ValueError, match=r"max_time / dt must be <= 100000 steps"):
+        ScenarioConfig("s", goal, dt=0.001, max_time=100.001)
+    # a quotient that overflows is refused, not an OverflowError from round()
+    with pytest.raises(ValueError, match=r"max_time / dt"):
+        ScenarioConfig("s", goal, dt=1e-300, max_time=1e300)
 
 
 def test_negative_seed_flag_is_a_usage_error(capsys):
@@ -356,7 +367,6 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("build, field_name", [
     (lambda: TrackerParams(q_vel=-1.0), "q_vel"),
-    (lambda: ControllerParams(goal_deadband=-0.1), "goal_deadband"),
     (lambda: ControllerParams(alpha_slope=0.0), "alpha_slope"),
     (lambda: PerceptionParams(mvee_tolerance=0.0), "mvee_tolerance"),
     (lambda: MotionSpec("sinusoid", amplitude=-1.0), "amplitude"),
@@ -392,6 +402,14 @@ def test_direct_construction_enforces_the_schema_bounds(build, field_name):
      "perception.clustering: unknown key 'mvee_tolerance'"),
     ({"controller": {"evaluate_at_lead": False}},
      "controller: unknown key 'evaluate_at_lead'"),
+    # module constants now, so even their former defaults are refused
+    ({"controller": {"goal_deadband": 0.05}},
+     "controller: unknown key 'goal_deadband'"),
+    ({"barrier": {"linear_prior": 0.9}}, "barrier: unknown key 'linear_prior'"),
+    ({"perception": {"tracker": {"min_velocity_age": 2}}},
+     "perception.tracker: unknown key 'min_velocity_age'"),
+    ({"perception": {"tracker": {"max_misses": 5}}},
+     "perception.tracker: unknown key 'max_misses'"),
 ])
 def test_unknown_keys_are_refused(change, message):
     with pytest.raises(ValidationError) as info:

@@ -7,7 +7,7 @@ import pytest
 
 from gpnav.controller import ControlInput
 from gpnav.simworld import (LidarSpec, MotionSpec, Obstacle, RobotState, World,
-                            cast_lidar, step_dynamics, wrap_angle)
+                            _beam_angles, cast_lidar, step_dynamics, wrap_angle)
 
 
 class TestDynamics:
@@ -52,13 +52,13 @@ class TestObstacles:
     def test_static_unchanged(self):
         world = World([Obstacle("s", 0.5, np.array([1.0, 2.0]))])
         world.advance(0.05)
-        assert np.allclose(world.obstacles[0].center, [1.0, 2.0])
+        assert np.allclose(world.centres[0], [1.0, 2.0])
 
     def test_constant_velocity_step(self):
         world = World([Obstacle("m", 0.5, np.array([0.0, 0.0]),
                                 MotionSpec(kind="velocity", velocity=(1.0, 0.0)))])
         world.advance(0.05)
-        assert np.allclose(world.obstacles[0].center, [0.05, 0.0])
+        assert np.allclose(world.centres[0], [0.05, 0.0])
 
     def test_sinusoid_closed_form_no_drift(self):
         motion = MotionSpec(kind="sinusoid", axis=(0.0, 1.0), amplitude=1.0,
@@ -67,7 +67,30 @@ class TestObstacles:
         for _ in range(20):     # 20 x 0.05 = 1.0 s
             world.advance(0.05)
         # displacement amplitude * sin(2 pi t / T) = 1.0 at t = 1, T = 4
-        assert np.allclose(world.obstacles[0].center, [2.0, 1.0], atol=1e-12)
+        assert np.allclose(world.centres[0], [2.0, 1.0], atol=1e-12)
+
+    def test_worlds_from_one_list_start_at_the_spawns(self):
+        """A World moves its own centres and writes nothing into its inputs."""
+        obstacles = [
+            Obstacle("m", 0.5, np.array([0.0, 0.0]),
+                     MotionSpec(kind="velocity", velocity=(1.0, 0.0))),
+            Obstacle("b", 0.5, np.array([2.0, 0.0]),
+                     MotionSpec(kind="sinusoid", axis=(0.0, 1.0), amplitude=1.0,
+                                period=4.0)),
+        ]
+
+        def fields_of(obs):
+            return [{name: value.tolist() if isinstance(value, np.ndarray) else value
+                     for name, value in vars(ob).items()} for ob in obs]
+
+        before = fields_of(obstacles)
+        first = World(obstacles)
+        for _ in range(20):     # 1 s
+            first.advance(0.05)
+        assert np.allclose(first.centres, [[1.0, 0.0], [2.0, 1.0]], atol=1e-12)
+        second = World(obstacles)
+        assert second.centres.tolist() == [[0.0, 0.0], [2.0, 0.0]]
+        assert fields_of(obstacles) == before
 
     def test_clearance(self):
         world = World([Obstacle("a", 0.5, np.array([0.0, 0.0])),
@@ -80,12 +103,13 @@ class TestObstacles:
         """Bit for bit np.linalg.norm taken one obstacle at a time."""
         rng = np.random.default_rng(seed)
         for _ in range(200):
-            world = World([Obstacle(f"o{i}", rng.uniform(0.05, 1.5),
-                                    rng.uniform(-20.0, 20.0, 2))
-                           for i in range(int(rng.integers(1, 12)))])
+            obstacles = [Obstacle(f"o{i}", rng.uniform(0.05, 1.5),
+                                  rng.uniform(-20.0, 20.0, 2))
+                         for i in range(int(rng.integers(1, 12)))]
+            world = World(obstacles)
             point = rng.uniform(-20.0, 20.0, 2) * rng.choice([1e-3, 1.0, 1e3])
-            reference = min(float(np.linalg.norm(point - ob.center)) - ob.radius
-                            for ob in world.obstacles)
+            reference = min(float(np.linalg.norm(point - centre)) - ob.radius
+                            for ob, centre in zip(obstacles, world.centres))
             assert world.clearance(point) == reference
 
     def test_motion_validation(self):
@@ -142,6 +166,7 @@ class TestLidar:
         world = World([Obstacle(f"o{i}", rng.uniform(0.3, 1.0),
                                 rng.uniform(-4, 4, 2)) for i in range(5)])
         spec = LidarSpec(beam_count=40, max_range=6.0)
+        angles = _beam_angles(spec.beam_count)
         checked = 0
         for _ in range(25):
             robot = RobotState(*rng.uniform(-3, 3, 2), rng.uniform(-np.pi, np.pi))
@@ -150,7 +175,7 @@ class TestLidar:
             scan = cast_lidar(world, robot, spec)
             for b in range(spec.beam_count):
                 marched = _ray_march(world, robot.position,
-                                     robot.theta + scan.angles[b], spec.max_range)
+                                     robot.theta + angles[b], spec.max_range)
                 assert abs(scan.ranges[b] - marched) <= 1e-3
                 checked += 1
         assert checked >= 900
@@ -194,10 +219,10 @@ def _per_obstacle_cast(world, robot, spec):
     dirs = np.stack([np.cos(robot.theta + angles),
                      np.sin(robot.theta + angles)], axis=1)
     best = np.full(spec.beam_count, np.inf)
-    for obstacle in world.obstacles:
-        to_center = obstacle.center - robot.position
+    for center, radius in zip(world.centres, world.radii.tolist()):
+        to_center = center - robot.position
         along = dirs @ to_center
-        disc = along * along - (float(to_center @ to_center) - obstacle.radius**2)
+        disc = along * along - (float(to_center @ to_center) - radius**2)
         feasible = disc >= 0.0
         root = np.sqrt(disc[feasible])
         near = along[feasible] - root
@@ -251,10 +276,8 @@ def _ray_march(world, origin, angle, max_range, step=1e-4):
     coarse = 0.01
     starts = np.arange(0.0, max_range, coarse)
     points = origin + (starts + coarse)[:, None] * direction
-    centers = np.array([ob.center for ob in world.obstacles])
-    radii = np.array([ob.radius for ob in world.obstacles])
-    clearance = np.min(np.linalg.norm(points[:, None] - centers[None], axis=2)
-                       - radii, axis=1)
+    clearance = np.min(np.linalg.norm(points[:, None] - world.centres[None], axis=2)
+                       - world.radii, axis=1)
     inside = np.flatnonzero(clearance <= 0.0)
     if len(inside) == 0:
         return max_range
@@ -344,8 +367,8 @@ def _random_motion(rng):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_world_matches_per_obstacle_closed_form(seed):
-    """Stacked centres, their row views, cast_lidar and clearance, bit for
-    bit the per-obstacle updates and the per-call stacking of the arrays."""
+    """Stacked centres, cast_lidar and clearance, bit for bit the
+    per-obstacle updates and the per-call stacking of the arrays."""
     rng = np.random.default_rng([seed, 21])
     count = int(rng.integers(10, 45))
     obstacles = [Obstacle(f"o{i}", float(rng.uniform(0.05, 1.0)),
@@ -364,8 +387,6 @@ def test_stacked_world_matches_per_obstacle_closed_form(seed):
         expected = np.array([ref.center for ref in reference])
         assert world.time == t
         assert world.centres.tobytes() == expected.tobytes()
-        for ob, ref in zip(world.obstacles, reference):
-            assert ob.center.tobytes() == ref.center.tobytes()
         robot = RobotState(*rng.uniform(-4.0, 4.0, 2), rng.uniform(-np.pi, np.pi))
         scan = cast_lidar(world, robot, spec, cast_rng)
         ranges, hits = _stacked_reference_cast(reference, robot, spec, reference_rng)
@@ -414,18 +435,19 @@ def test_float_rk4_matches_array_form_bit_for_bit():
 
 @pytest.mark.parametrize("beams", [1, 7, 360])
 def test_scan_directions_are_the_world_frame_beam_vectors(beams):
-    """directions is (cos, sin) of heading + angle, bit for bit."""
+    """directions is (cos, sin) of heading + beam angle, bit for bit."""
     rng = np.random.default_rng(beams)
     spec = LidarSpec(beam_count=beams)
     world = World([Obstacle("c", 0.5, np.array([2.0, 1.0]))])
+    angles = _beam_angles(beams)
+    assert angles.tobytes() == (2.0 * np.pi * np.arange(beams) / beams).tobytes()
     for _ in range(40):
         robot = RobotState(*rng.uniform(-3.0, 3.0, 2), rng.uniform(-np.pi, np.pi))
         scan = cast_lidar(world, robot, spec)
-        assert (scan.angles.tobytes()
-                == (2.0 * np.pi * np.arange(beams) / beams).tobytes())
-        world_angles = robot.theta + scan.angles
+        world_angles = robot.theta + angles
         expected = np.stack([np.cos(world_angles), np.sin(world_angles)], axis=1)
         assert scan.directions.shape == (beams, 2)
         assert scan.directions.tobytes() == expected.tobytes()
     # the cached angles are shared between scans, so nothing may write them
-    assert not scan.angles.flags.writeable
+    assert _beam_angles(beams) is angles
+    assert not angles.flags.writeable

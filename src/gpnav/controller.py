@@ -62,6 +62,9 @@ class ControllerParams:
         for name in ("alpha_slope", "lead_offset", "u_max", "v_max", "omega_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        for name in ("u_max", "v_max"):
+            if not getattr(self, name) <= 1e3:
+                raise ValueError(f"{name} must be <= 1e3")
         if self.variant not in barrier.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"expected one of {list(barrier.VARIANTS)}")

@@ -8,55 +8,21 @@ separable pass for the mean over a rectangular grid.
 Queries are pure and read-only on an immutable model, so they are safe to
 evaluate concurrently.
 
-The two LAPACK routines come from scipy's compiled f2py module
-scipy.linalg._flapack, loaded from its file on its own (see _lapack): the
-scipy.linalg package import around it loads numpy.f2py, numpy.testing,
-numpy.ma and unittest, about 0.1 s and 17 MB per interpreter that the
-barrier never uses. scipy.linalg.lapack.dpotrf is _flapack.dpotrf, so the
-functions called, and every bit of L and alpha, are the same either way.
+The two LAPACK routines come from scipy's compiled module
+scipy.linalg._flapack, loaded without the scipy.linalg package (see
+gpnav._scipy).
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
+from ._scipy import extension
 
-def _lapack():
-    """(dpotrf, dpotrs) of scipy.linalg._flapack, without importing scipy.linalg.
-
-    Reuses the module when it is already loaded. Otherwise executes the
-    extension file from scipy's linalg folder under its own name and
-    registers it in sys.modules, so a later scipy.linalg import finds the
-    same module and the same functions. When no such file exists (another
-    scipy layout), falls back to the public scipy.linalg.lapack: slower to
-    import, the same routines.
-    """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        folder = os.path.join(scipy.__path__[0], "linalg")
-        paths = [os.path.join(folder, "_flapack" + suffix)
-                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        path = next((p for p in paths if os.path.isfile(p)), None)
-        if path is None:
-            from scipy.linalg.lapack import dpotrf, dpotrs
-            return dpotrf, dpotrs
-        loader = importlib.machinery.ExtensionFileLoader(name, path)
-        spec = importlib.util.spec_from_file_location(name, path, loader=loader)
-        module = importlib.util.module_from_spec(spec)
-        loader.exec_module(module)
-        sys.modules[name] = module
-    return module.dpotrf, module.dpotrs
-
-
-dpotrf, dpotrs = _lapack()
+_flapack = extension("scipy.linalg._flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 class FactorizationFailure(Exception):

@@ -22,6 +22,8 @@ class GridSpec:
         for name in ("width", "height"):          # 200 m at 0.2 m per cell
             if not getattr(self, name) <= 1000:
                 raise ValueError(f"grid {name} must be <= 1000")
+        if not self.resolution >= 1e-3:
+            raise ValueError("grid resolution must be >= 1e-3")
         if not self.resolution <= 1e3:
             raise ValueError("grid resolution must be <= 1e3")
 

@@ -5,11 +5,11 @@ a constant-acceleration model, as six floats [px, py, vx, vy, ax, ay]. The
 noise densities are shared by both axes and a detection measures one
 position per axis, so the 6x6 covariance over that state stays one 3x3
 block P over (position, velocity, acceleration), shared by x and y, and a
-track keeps only its six distinct entries. Association is an exact
-minimum-cost assignment on centre distances, over one stacked array of
-centres per frame, with a gate; gated-out pairs spawn new tracks and record
-misses. Only the centre velocity leaves the tracker, for the barrier's time
-derivative.
+track keeps only its six distinct entries. Association is scipy's exact
+linear sum assignment (Crouse's shortest augmenting paths, IEEE TAES 2016)
+on centre distances, over one stacked array of centres per frame, with a
+gate; gated-out pairs spawn new tracks and record misses. Only the centre
+velocity leaves the tracker, for the barrier's time derivative.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._scipy import extension
 from .ellipse import Ellipse
+
+linear_sum_assignment = extension("scipy.optimize._lsap").linear_sum_assignment
 
 MAX_MISSES = 5         # consecutive predict-only frames before a track is dropped
 MIN_VELOCITY_AGE = 2   # updates before a track reports velocity
@@ -101,108 +104,6 @@ def affinity_matrix(tracks: np.ndarray, detections: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def min_cost_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
-    """Exact minimum-cost assignment of an (n, m) matrix of finite costs.
-
-    Returns (rows, cols): min(n, m) pairs, rows ascending, as
-    scipy.optimize.linear_sum_assignment does. Non-finite costs raise
-    ValueError.
-
-    Every assignment pays at least each row's minimum (each column's when
-    n > m). So if the nearest columns of the rows are pairwise distinct,
-    taking them is optimal, and that settles most tracker frames. Otherwise
-    the rows that lost their nearest column are placed by shortest
-    augmenting paths (_augment).
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a 2-D array")
-    # 0 * c is 0 for every finite c, and NaN for NaN and for +-inf
-    flat = cost.ravel()
-    if not math.isfinite(flat.dot(np.zeros(flat.size))):
-        raise ValueError("cost must be finite")
-    if cost.size == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    by_column = cost.shape[0] > cost.shape[1]
-    nearest = cost.argmin(axis=0 if by_column else 1)
-    listed = nearest.tolist()
-    if len(set(listed)) < len(listed):
-        nearest = np.array(_augment(cost.T if by_column else cost, listed),
-                           dtype=np.intp)
-    if by_column:
-        order = nearest.argsort()
-        return nearest[order], order
-    return np.arange(len(listed)), nearest
-
-
-def _augment(cost: np.ndarray, nearest: list[int]) -> list[int]:
-    """Column of each row of an (n, m) cost with n <= m, at minimum total cost.
-
-    Shortest augmenting paths (Jonker-Volgenant, in the rectangular form of
-    Crouse, IEEE TAES 2016, which scipy uses), warm-started from the nearest
-    columns: duals u = row minima and v = 0, and each row takes its nearest
-    column where that column is still free. That start is dual feasible
-    (every reduced cost c - u - v >= 0, zero on each pair, v = 0 on free
-    columns), so only the rows left without a column are augmented, each by
-    one Dijkstra over the reduced costs. The scan runs over Python floats:
-    at tracker sizes a loop over one row costs less than the numpy calls
-    per scanned column, and each row is converted once, when first reached.
-    """
-    n, m = cost.shape
-    u = cost.min(axis=1).tolist()
-    v = [0.0] * m
-    costs: list[list[float] | None] = [None] * n
-    row4col = [-1] * m
-    col4row = [-1] * n
-    for i, j in enumerate(nearest):
-        if row4col[j] < 0:
-            row4col[j] = i
-            col4row[i] = j
-    for start in [i for i in range(n) if col4row[i] < 0]:
-        dist = [math.inf] * m          # shortest length to each column so far
-        via = [-1] * m                 # the first row to reach that length
-        unscanned = list(range(m))     # ascending, so ties go to the lowest
-        rows, scanned, reach = [], [], []
-        i, low = start, 0.0
-        while True:
-            rows.append(i)
-            row, ui = costs[i], u[i]
-            if row is None:
-                row = costs[i] = cost[i].tolist()
-            best, j = math.inf, -1
-            for k in unscanned:
-                length = row[k] - ui - v[k] + low
-                if length < dist[k]:
-                    dist[k] = length
-                    via[k] = i
-                else:
-                    length = dist[k]
-                if length < best:
-                    best, j = length, k
-            low = best
-            unscanned.remove(j)        # a scanned column is final
-            scanned.append(j)
-            reach.append(low)
-            i = row4col[j]
-            if i < 0:
-                break
-        # keep the reduced costs >= 0 and zero along the new pairs
-        u[start] += low
-        for i, j, length in zip(rows[1:], scanned, reach):
-            shift = low - length
-            u[i] += shift
-            v[j] -= shift
-        # flip the pairs along the path back to the start
-        j = scanned[-1]
-        while True:
-            i = via[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == start:
-                break
-    return col4row
-
-
 def associate(tracks: np.ndarray, detections: np.ndarray,
               d_max: float) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Minimum-cost assignment on center distance, gated at d_max.
@@ -217,7 +118,7 @@ def associate(tracks: np.ndarray, detections: np.ndarray,
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
     cost = affinity_matrix(tracks, detections)
-    rows, cols = min_cost_assignment(cost)
+    rows, cols = linear_sum_assignment(cost)
     gated = (cost[rows, cols] <= d_max).tolist()
     matches = [pair for pair, keep in zip(zip(rows.tolist(), cols.tolist()), gated)
                if keep]

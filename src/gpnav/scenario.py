@@ -38,10 +38,20 @@ class ValidationError(Exception):
     """Scenario contents violate the schema; message carries the field path."""
 
 
+def _check_point(name: str, point: tuple[float, float]) -> None:
+    """Bound a start, goal or centre far beyond any scene, so that position /
+    grid resolution and the steps' arithmetic stay finite."""
+    if not all(abs(c) <= 1e6 for c in point):
+        raise ValueError(f"{name} must be in [-1e6, 1e6] on each axis")
+
+
 @dataclass(frozen=True)
 class RobotConfig:
     start: tuple[float, float] = (-8.0, 3.0)
     heading: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_point("start", self.start)
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,7 @@ class GoalConfig:
     arrival_radius: float = 0.05
 
     def __post_init__(self) -> None:
+        _check_point("position", self.position)
         if not self.arrival_radius > 0.0:
             raise ValueError("arrival_radius must be > 0")
 
@@ -66,6 +77,7 @@ class ObstacleConfig:
             raise ValueError("radius must be > 0")
         if not self.radius <= 1e3:
             raise ValueError("radius must be <= 1e3")
+        _check_point("center", self.center)
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,8 @@ class ScenarioConfig:
         for name in ("dt", "max_time"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        if not self.dt <= 1.0:
+            raise ValueError("dt must be <= 1")
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         # the quotient overflows to inf before round() could refuse it

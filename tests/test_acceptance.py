@@ -18,7 +18,7 @@ from gpnav.episode import RunFiles, compare, comparison_json, run_episode
 from gpnav.gp import KernelParams, build_model
 from gpnav.perception.ellipse import Ellipse
 from gpnav.perception.tracking import (TrackerParams, kalman_step,
-                                       min_cost_assignment, new_track)
+                                       linear_sum_assignment, new_track)
 from gpnav.scenario import load_scenario, resolve_scenario, with_variant
 
 from conftest import pipeline_datasets
@@ -101,6 +101,9 @@ def test_criterion_04_qp_grid_search_oracle():
     grid_axis = np.arange(-2.0, 2.0 + 0.005, 0.01)
     gx, gy = np.meshgrid(grid_axis, grid_axis)
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    # |g - u_nom|^2 = |g|^2 - 2 g.u_nom + |u_nom|^2, with |g|^2 formed once
+    # and one (2, 2) @ grid.T product per QP for g.a and g.u_nom
+    grid_sq = np.sum(grid ** 2, axis=1)
     rng = np.random.default_rng(5)
     for _ in range(1000):
         angle = rng.uniform(-np.pi, np.pi)
@@ -111,10 +114,12 @@ def test_criterion_04_qp_grid_search_oracle():
         u = solve_safety_qp(u_nom, SafetyConstraint(a=a, b=b, feasible=True))
         slack = float(a @ u + b)
         assert slack >= -1e-12
-        feasible = grid @ a + b >= 0.0
+        along_a, along_u = np.stack([a, u_nom]) @ grid.T
+        feasible = along_a + b >= 0.0
         assert np.any(feasible)
-        costs = np.sum((grid[feasible] - u_nom) ** 2, axis=1)
-        assert float(np.sum((u - u_nom) ** 2)) <= float(costs.min()) + 1e-4
+        costs = np.where(feasible, grid_sq - 2.0 * along_u, np.inf)
+        best = float(costs.min()) + float(u_nom @ u_nom)
+        assert float(np.sum((u - u_nom) ** 2)) <= best + 1e-4
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"PASS criterion 4: 1000 QPs feasible and at or below the "
@@ -128,7 +133,7 @@ def test_criterion_05_assignment_brute_force_oracle():
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
         cost = rng.uniform(0.0, 10.0, (rows, cols))
-        ri, ci = min_cost_assignment(cost)
+        ri, ci = linear_sum_assignment(cost)
         total = float(cost[ri, ci].sum())
         if rows <= cols:
             best = min(sum(cost[i, p[i]] for i in range(rows))

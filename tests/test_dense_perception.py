@@ -3,8 +3,7 @@ tests/golden/dense_perception.jsonl.
 
 About 30 circles cross the sensor window in all directions while the robot
 drives past, so every frame clusters, fits and tracks a few dozen obstacles,
-and crossing obstacles make the tracker's assignment fall back to augmenting
-paths. A change that alters perception output on purpose regenerates the
+and crossing obstacles compete for the same tracks. A change that alters perception output on purpose regenerates the
 file with ``PYTHONPATH=src python tests/test_dense_perception.py`` and
 states the diff in CHANGES.md.
 """
@@ -14,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from gpnav.perception import tracking
 from gpnav.perception.pipeline import PerceptionParams, PerceptionPipeline
 from gpnav.perception.tracking import TrackerParams
 from gpnav.simworld import (LidarSpec, MotionSpec, Obstacle, RobotState, World,
@@ -73,15 +71,7 @@ def dense_records() -> list[str]:
     return lines
 
 
-def test_dense_field_matches_golden_frame_by_frame(monkeypatch):
-    calls = []
-    inner = tracking._augment
-
-    def spy(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(tracking, "_augment", spy)
+def test_dense_field_matches_golden_frame_by_frame():
     lines = dense_records()
     golden = GOLDEN.read_text().splitlines(keepends=True)
     assert len(lines) == len(golden) == FRAMES
@@ -91,7 +81,6 @@ def test_dense_field_matches_golden_frame_by_frame(monkeypatch):
             "alters perception on purpose, regenerate it with `PYTHONPATH=src "
             "python tests/test_dense_perception.py` and state the diff in "
             "CHANGES.md.")
-    assert calls, "the field no longer makes the assignment fall back"
 
 
 if __name__ == "__main__":

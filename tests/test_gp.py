@@ -393,6 +393,22 @@ def run_fresh(*lines):
                    env={**os.environ, "PYTHONPATH": path}, check=True)
 
 
+# each compiled scipy module gpnav loads: the gpnav module that takes
+# functions from it, the public scipy module that exports them, their names
+EXTENSIONS = {
+    "scipy.linalg._flapack": ("gpnav.gp", "scipy.linalg.lapack",
+                              ("dpotrf", "dpotrs")),
+    "scipy.optimize._lsap": ("gpnav.perception.tracking", "scipy.optimize",
+                             ("linear_sum_assignment",)),
+}
+
+
+def same_functions(ours, public, names):
+    """Lines asserting that the gpnav module holds the public functions."""
+    return [f"import {ours} as ours, {public} as public",
+            *(f"assert ours.{name} is public.{name}" for name in names)]
+
+
 class TestColdStart:
     def test_no_gpnav_module_loads_scipy_linalg_optimize_or_f2py(self):
         run_fresh(
@@ -405,25 +421,35 @@ class TestColdStart:
             "assert 'gpnav.perception.tracking' in sys.modules",
             "loaded = [name for name in sys.modules if name.split('.')[:2] in",
             "          (['scipy', 'linalg'], ['scipy', 'optimize'], ['numpy', 'f2py'])",
-            "          and name != 'scipy.linalg._flapack']",
+            f"          and name not in {sorted(EXTENSIONS)}]",
             "assert not loaded, loaded")
 
-    @pytest.mark.parametrize("first, second", [
-        ("gpnav.gp", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "gpnav.gp")])
-    def test_one_copy_of_lapack_in_either_import_order(self, first, second):
+    @pytest.mark.parametrize("extension", sorted(EXTENSIONS),
+                             ids=lambda name: name.rsplit(".", 1)[1])
+    @pytest.mark.parametrize("gpnav_first", [True, False],
+                             ids=["gpnav-first", "scipy-first"])
+    def test_one_copy_of_each_extension_in_either_order(self, extension,
+                                                        gpnav_first):
+        ours, public, names = EXTENSIONS[extension]
+        first, second = (ours, public) if gpnav_first else (public, ours)
         run_fresh(
-            f"import {first}, {second}, sys",
-            "import gpnav.gp as gp, scipy.linalg.lapack as lapack",
-            "assert gp.dpotrf is lapack.dpotrf and gp.dpotrs is lapack.dpotrs",
-            "assert lapack._flapack is sys.modules['scipy.linalg._flapack']")
+            f"import {first}, sys",
+            f"assert {extension!r} in sys.modules",
+            f"import {second}",
+            *same_functions(ours, public, names),
+            f"module = sys.modules[{extension!r}]",
+            *(f"assert module.{name} is ours.{name}" for name in names))
 
     def test_falls_back_to_the_public_module_without_the_file(self):
         run_fresh(
             "import importlib.machinery, sys",
             "importlib.machinery.EXTENSION_SUFFIXES = ['.missing']",
-            "import gpnav.gp as gp",
-            "assert 'scipy.linalg.lapack' in sys.modules",
-            "import scipy.linalg.lapack as lapack",
-            "assert gp.dpotrf is lapack.dpotrf and gp.dpotrs is lapack.dpotrs",
+            "import gpnav.gp as gp, gpnav.perception.tracking as tracking",
+            *(f"assert {public!r} in sys.modules"
+              for _, public, _ in EXTENSIONS.values()),
+            *(line for ours, public, names in EXTENSIONS.values()
+              for line in same_functions(ours, public, names)),
             "model = gp.build_model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])",
-            "assert model.chol_lower.shape == (3, 3) and model.alpha.all()")
+            "assert model.chol_lower.shape == (3, 3) and model.alpha.all()",
+            "rows, cols = tracking.linear_sum_assignment([[1.0, 2.0], [1.0, 9.0]])",
+            "assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]")

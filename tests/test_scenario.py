@@ -336,6 +336,17 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
     ("perception.clustering.eps", 2.6,
      "perception: clustering.eps must be <= 10 * grid.resolution"),
     ("dt", 1.0e-9, "max_time / dt must be <= 100000 steps"),
+    ("robot.start", [1.0e308, 3.0],
+     "robot: start must be in [-1e6, 1e6] on each axis"),
+    ("goal.position", [0.0, -1.000001e6],
+     "goal: position must be in [-1e6, 1e6] on each axis"),
+    ("obstacles[1].center", [1.000001e6, 0.0],
+     "obstacles[1]: center must be in [-1e6, 1e6] on each axis"),
+    ("perception.grid.resolution", 1.0e-308,
+     "perception.grid: grid resolution must be >= 1e-3"),
+    ("controller.u_max", 1.0e308, "controller: u_max must be <= 1e3"),
+    ("controller.v_max", 1000.001, "controller: v_max must be <= 1e3"),
+    ("dt", 1.0e306, "dt must be <= 1"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -343,6 +354,23 @@ def test_class_bounds_exit_two_with_section_and_field(key, value, message,
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
+    # coordinates, grid resolution, speeds and dt each at the bound that
+    # keeps position / resolution and the step arithmetic finite
+    data = with_value("dt", 1.0)
+    data["max_time"] = 3.0
+    data["robot"]["start"] = [1.0e6, -1.0e6]
+    data["goal"]["position"] = [-1.0e6, -1.0e6]
+    for obstacle, center in zip(data["obstacles"], (
+            [1.0e6, -1.0e6 + 2.0], [1.0e6 - 2.0, -1.0e6], [-1.0e6, 1.0e6])):
+        obstacle["center"] = center
+    data["controller"].update(u_max=1.0e3, v_max=1.0e3)
+    data["perception"]["grid"]["resolution"] = 1.0e-3
+    data["perception"]["clustering"]["eps"] = 1.0e-2
+    assert run_file(tmp_path, data) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_episode_length_bound_counts_steps_as_the_episode_does():
@@ -386,6 +414,14 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: ClusteringParams(min_pts=0), "min_pts must be > 0"),
     (lambda: PerceptionParams(clustering=ClusteringParams(eps=2.01)),
      "clustering.eps must be <= 10"),
+    (lambda: RobotConfig(start=(1.0e308, 3.0)), "start must be in"),
+    (lambda: GoalConfig((0.0, -1.0e7)), "position must be in"),
+    (lambda: ObstacleConfig("a", 1.0, (float("nan"), 0.0)), "center must be in"),
+    (lambda: GridSpec(resolution=1.0e-308), "resolution must be >= 1e-3"),
+    (lambda: ControllerParams(u_max=1.0e308), "u_max must be <= 1e3"),
+    (lambda: ControllerParams(v_max=1.0e300), "v_max must be <= 1e3"),
+    (lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=1.0e306,
+                            max_time=2.0e306), "dt must be <= 1"),
 ])
 def test_direct_construction_enforces_the_schema_bounds(build, field_name):
     with pytest.raises(ValueError, match=field_name):

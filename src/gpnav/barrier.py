@@ -92,11 +92,6 @@ def _require_points(model: GpModel | None) -> GpModel:
     return model
 
 
-def _gp_terms(model: GpModel | None, queries, velocities=None):
-    """gp.mean_terms, refusing a missing or empty model."""
-    return mean_terms(_require_points(model), queries, velocities)
-
-
 def _log_value(mu, params: BarrierParams):
     """-scale * log(max(mu, mu_floor)) - margin_shift, elementwise."""
     # np.log, not math.log: the two libms differ in the last bit on some inputs
@@ -105,7 +100,7 @@ def _log_value(mu, params: BarrierParams):
 
 def evaluate(model: GpModel, params: BarrierParams, position) -> float:
     """Barrier value at one position."""
-    mu, _, _ = _gp_terms(model, position)
+    mu, _, _ = mean_terms(_require_points(model), position)
     return float(_log_value(mu[0], params))
 
 
@@ -121,7 +116,7 @@ def evaluate_full(model: GpModel, params: BarrierParams, position, velocities,
     if variant not in VARIANTS:
         raise ValueError(f"unknown barrier variant {variant!r}")
     moving = None if variant == "dlgp-no-dhdt" else velocities
-    mu_q, grad_q, rate_q = _gp_terms(model, position, moving)
+    mu_q, grad_q, rate_q = mean_terms(_require_points(model), position, moving)
     mu = float(mu_q[0])
 
     if variant == "gp-linear":

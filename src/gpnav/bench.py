@@ -12,6 +12,10 @@ from .barrier import BarrierParams
 from .gp import KernelParams, build_model, mean_terms
 
 
+# m, least distance between random_dataset points: the perception grid cell
+MIN_SPACING = 0.2
+
+
 @dataclass
 class BenchRow:
     size: int
@@ -19,35 +23,35 @@ class BenchRow:
     median_ms: float
 
 
-def max_dataset_size(spread: float = 5.0, min_spacing: float = 0.2) -> int:
+def max_dataset_size(spread: float = 5.0) -> int:
     """Largest size random_dataset places in a square of half-width spread.
 
-    Random placement at min_spacing jams near 0.7 points per min_spacing^2
-    of the square (about 1,700 in the default 10 x 10 m at 0.2 m) and then
-    never places another; 0.4 per min_spacing^2 keeps the loop short.
+    Random placement at MIN_SPACING jams near 0.7 points per MIN_SPACING^2
+    of the square (about 1,700 in the default 10 x 10 m) and then never
+    places another; 0.4 per MIN_SPACING^2 keeps the loop short.
     """
-    return int(0.4 * (2.0 * spread / min_spacing) ** 2)
+    return int(0.4 * (2.0 * spread / MIN_SPACING) ** 2)
 
 
-def random_dataset(rng: np.random.Generator, size: int, spread: float = 5.0,
-                   min_spacing: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
+def random_dataset(rng: np.random.Generator, size: int,
+                   spread: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
     """Random point cloud with per-point velocities.
 
     Points keep the grid pipeline's minimum spacing, which bounds the kernel
     matrix conditioning the same way downsampled occupancy cells do. Sizes
-    above max_dataset_size(spread, min_spacing) raise ValueError.
+    above max_dataset_size(spread) raise ValueError.
     """
-    limit = max_dataset_size(spread, min_spacing)
+    limit = max_dataset_size(spread)
     if size > limit:
         raise ValueError(f"dataset size {size} is over {limit}, the bound for "
-                         f"points {min_spacing} m apart in a "
+                         f"points {MIN_SPACING} m apart in a "
                          f"{2.0 * spread} m square")
     points = np.empty((size, 2))
     count = 0
     while count < size:
         candidate = rng.uniform(-spread, spread, 2)
         if count == 0 or np.min(
-                np.linalg.norm(points[:count] - candidate, axis=1)) >= min_spacing:
+                np.linalg.norm(points[:count] - candidate, axis=1)) >= MIN_SPACING:
             points[count] = candidate
             count += 1
     velocities = rng.uniform(-0.8, 0.8, (size, 2))
@@ -86,8 +90,7 @@ def bench_barrier(sizes: list[int], repetitions: int = 50,
     return rows
 
 
-def check_gradients(cases: int = 100, seed: int = 0,
-                    step: float = 1e-5) -> dict[str, float]:
+def check_gradients(cases: int = 100, seed: int = 0) -> dict[str, float]:
     """Max relative error of the analytic derivatives vs central differences.
 
     Runs the spatial gradient against finite differences of the barrier value
@@ -98,6 +101,7 @@ def check_gradients(cases: int = 100, seed: int = 0,
     rng = np.random.default_rng(seed)
     params = BarrierParams()
     kernel = KernelParams()
+    step = 1e-5                    # central-difference step, in m and in s
     sizes = (1, 5, 30)
     worst_spatial = 0.0
     worst_time = 0.0

@@ -82,15 +82,14 @@ class ControlDiagnostics:
     qp_ms: float = 0.0
 
 
-def nominal_goal(position, goal, u_max: float,
-                 deadband: float = GOAL_DEADBAND) -> np.ndarray:
+def nominal_goal(position, goal, u_max: float) -> np.ndarray:
     """Unit-direction go-to-goal command scaled to u_max; zero inside the deadband."""
     if u_max <= 0.0:
         raise ValueError("u_max must be > 0")
     dx = float(goal[0]) - float(position[0])
     dy = float(goal[1]) - float(position[1])
     distance = math.hypot(dx, dy)
-    if distance <= deadband:
+    if distance <= GOAL_DEADBAND:
         return np.zeros(2)
     return np.array([u_max * dx / distance, u_max * dy / distance])
 
@@ -128,17 +127,13 @@ def solve_safety_qp(u_nominal, constraint: SafetyConstraint) -> np.ndarray:
     return u + gain * constraint.a
 
 
-def lead_to_unicycle(u_lead, theta: float, lead_offset: float,
-                     v_max: float = np.inf, omega_max: float = np.inf) -> ControlInput:
-    """Map a lead-point velocity to saturated unicycle (v, omega) commands."""
+def lead_to_unicycle(u_lead, theta: float, lead_offset: float) -> ControlInput:
+    """Map a lead-point velocity to unicycle (v, omega) commands."""
     if lead_offset <= 0.0:
         raise ValueError("lead_offset must be > 0")
     ux, uy = float(u_lead[0]), float(u_lead[1])
     c, s = math.cos(theta), math.sin(theta)
-    v = c * ux + s * uy
-    omega = (-s * ux + c * uy) / lead_offset
-    return ControlInput(v=min(max(v, -v_max), v_max),
-                        omega=min(max(omega, -omega_max), omega_max))
+    return ControlInput(v=c * ux + s * uy, omega=(-s * ux + c * uy) / lead_offset)
 
 
 def lead_point(robot: RobotState, lead_offset: float) -> np.ndarray:
@@ -182,10 +177,11 @@ def control_step(robot: RobotState, model: GpModel | None, velocities,
         diag.constraint_active = bool(float(constraint.a @ u_nom + constraint.b) < 0.0)
         diag.constraint_slack = float(constraint.a @ u_lead + constraint.b)
 
-    control = lead_to_unicycle(u_lead, robot.theta, params.lead_offset,
-                               params.v_max, params.omega_max)
     raw = lead_to_unicycle(u_lead, robot.theta, params.lead_offset)
+    v_max, omega_max = params.v_max, params.omega_max
+    control = ControlInput(v=min(max(raw.v, -v_max), v_max),
+                           omega=min(max(raw.omega, -omega_max), omega_max))
     diag.saturated = bool(
-        abs(raw.v - control.v) > SATURATION_RTOL * params.v_max
-        or abs(raw.omega - control.omega) > SATURATION_RTOL * params.omega_max)
+        abs(raw.v - control.v) > SATURATION_RTOL * v_max
+        or abs(raw.omega - control.omega) > SATURATION_RTOL * omega_max)
     return control, evaluation, diag

@@ -64,9 +64,6 @@ class Ellipse:
         """Whether each point lies inside the ellipse inflated by scale."""
         return self.quadratic_form(points) <= scale * scale
 
-    def area(self) -> float:
-        return float(np.pi * self.semi_major * self.semi_minor)
-
 
 def fit_mvee(points, tolerance: float = 1e-4, max_iter: int = 1000) -> Ellipse:
     """Fit the minimum-area enclosing ellipse of a non-empty (n, 2) cluster.

@@ -45,12 +45,16 @@ class MotionSpec:
     def __post_init__(self) -> None:
         if self.kind not in MOTION_KINDS:
             raise ValueError(f"unknown motion kind {self.kind!r}")
-        if not self.amplitude >= 0.0:
-            raise ValueError("amplitude must be >= 0")
+        # the bounds of u_max and of a coordinate keep the centres finite
+        if not all(abs(c) <= 1e3 for c in self.velocity):
+            raise ValueError("velocity must be in [-1e3, 1e3] on each axis")
+        if not 0.0 <= self.amplitude <= 1e6:
+            raise ValueError("amplitude must be in [0, 1e6]")
         if not self.period > 0.0:
             raise ValueError("period must be > 0")
-        if not math.hypot(*self.axis) > 0.0:
-            raise ValueError("axis must be nonzero")
+        # a direction has no scale; this keeps np.linalg.norm in _unit finite
+        if not 1e-6 <= math.hypot(*self.axis) <= 1e6:
+            raise ValueError("axis length must be in [1e-6, 1e6]")
 
 
 @dataclass

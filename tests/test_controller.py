@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gpnav.barrier import BarrierEvaluation, BarrierParams
-from gpnav.controller import (ControllerParams, InfeasibleConstraint,
-                              SafetyConstraint, build_constraint, control_step,
-                              lead_point, lead_to_unicycle, nominal_goal,
-                              solve_safety_qp)
+from gpnav.controller import (SATURATION_RTOL, ControllerParams,
+                              InfeasibleConstraint, SafetyConstraint,
+                              build_constraint, control_step, lead_point,
+                              lead_to_unicycle, nominal_goal, solve_safety_qp)
 from gpnav.gp import KernelParams, build_model
 from gpnav.simworld import RobotState
 
@@ -18,17 +18,27 @@ def make_eval(grad_xy, dh_dt, h, mu=0.5, clamped=False):
                              time_derivative=dh_dt, mu=mu, clamped=clamped)
 
 
-def grid_search_qp(a, b, u_nom, lo=-2.0, hi=2.0, step=0.01):
-    """Dense-grid reference minimizer of ||u - u_nom||^2 s.t. a.u + b >= 0."""
-    grid = np.arange(lo, hi + step / 2, step)
-    best, best_cost = None, np.inf
-    for ux in grid:
-        for uy in grid:
-            if a[0] * ux + a[1] * uy + b >= 0.0:
-                cost = (ux - u_nom[0]) ** 2 + (uy - u_nom[1]) ** 2
-                if cost < best_cost:
-                    best, best_cost = (ux, uy), cost
-    return best, best_cost
+# the oracle's grid over [-2, 2]^2 at 0.01, with |g|^2 formed once
+GRID_AXIS = np.arange(-2.0, 2.0 + 0.005, 0.01)
+GRID = np.stack([g.ravel() for g in np.meshgrid(GRID_AXIS, GRID_AXIS)], axis=1)
+GRID_SQ = np.sum(GRID ** 2, axis=1)
+
+
+def grid_search_qp(a, b, u_nom):
+    """Dense-grid reference minimum of ||u - u_nom||^2 s.t. a.u + b >= 0.
+
+    |g - u_nom|^2 = |g|^2 - 2 g.u_nom + |u_nom|^2, with one (2, 2) @ GRID.T
+    product for g.a and g.u_nom.
+    """
+    along_a, along_u = np.stack([a, u_nom]) @ GRID.T
+    costs = np.where(along_a + b >= 0.0, GRID_SQ - 2.0 * along_u, np.inf)
+    return float(costs.min()) + float(u_nom @ u_nom)
+
+
+def clip_to_box(control, v_max, omega_max):
+    """(v, omega) of a command clipped into the box, by np.clip."""
+    return (float(np.clip(control.v, -v_max, v_max)),
+            float(np.clip(control.omega, -omega_max, omega_max)))
 
 
 class TestNominalGoal:
@@ -103,7 +113,7 @@ class TestSolveQp:
             constraint = SafetyConstraint(a=a, b=b, feasible=True)
             u = solve_safety_qp(u_nom, constraint)
             assert a @ u + b >= -1e-12
-            _, oracle_cost = grid_search_qp(a, b, u_nom)
+            oracle_cost = grid_search_qp(a, b, u_nom)
             cost = float(np.sum((u - u_nom) ** 2))
             assert cost <= oracle_cost + 1e-4
 
@@ -144,9 +154,14 @@ class TestLeadMap:
         assert control.omega == pytest.approx(0.0, abs=1e-12)
 
     def test_saturation(self):
-        control = lead_to_unicycle((3.0, 3.0), 0.0, 0.3, v_max=0.8, omega_max=2.0)
+        # control_step's box: the lead velocity (3, 3) at heading 0 maps to
+        # (v, omega) = (3, 10) and leaves clipped to (v_max, omega_max)
+        control, _, diag = control_step(
+            RobotState(0.0, 0.0, 0.0), None, np.zeros((0, 2)), BarrierParams(),
+            ControllerParams(u_max=3.0 * np.sqrt(2.0)), (10.0, 10.0))
         assert control.v == 0.8
         assert control.omega == 2.0
+        assert diag.saturated
 
     def test_forward_kinematics_roundtrip(self):
         # unsaturated (v, omega) must reproduce the lead-point velocity:
@@ -176,9 +191,9 @@ class TestControlStep:
         assert evaluation is None
         assert diag.fallback == "empty"
         expected = nominal_goal(robot.position, (10.0, -2.0), 0.8)
-        rebuilt = lead_to_unicycle(expected, 0.0, 0.3, 0.8, 2.0)
-        assert control.v == pytest.approx(rebuilt.v)
-        assert control.omega == pytest.approx(rebuilt.omega)
+        rebuilt = clip_to_box(lead_to_unicycle(expected, 0.0, 0.3), 0.8, 2.0)
+        assert control.v == pytest.approx(rebuilt[0])
+        assert control.omega == pytest.approx(rebuilt[1])
 
     def test_blocking_obstacle_activates_constraint(self):
         robot = RobotState(0.0, 0.0, 0.0)
@@ -189,8 +204,8 @@ class TestControlStep:
             (10.0, 0.0))
         assert diag.constraint_active
         nominal = lead_to_unicycle(nominal_goal(robot.position, (10.0, 0.0), 0.8),
-                                   0.0, 0.3, 0.8, 2.0)
-        assert (control.v, control.omega) != (nominal.v, nominal.omega)
+                                   0.0, 0.3)
+        assert (control.v, control.omega) != clip_to_box(nominal, 0.8, 2.0)
 
     def test_receding_obstacle_leaves_nominal(self):
         robot = RobotState(0.0, 0.0, 0.0)
@@ -224,6 +239,60 @@ class TestControlStep:
                 (10.0, -2.0))
             if diag.fallback == "":
                 assert diag.constraint_slack >= -1e-12
+
+    def test_exit_clips_into_the_box_and_flags_real_clips_only(self):
+        # the "empty" fallback leaves with the nominal command as its lead
+        # velocity: random headings, offsets, commands and boxes; every
+        # third box puts v or omega exactly on a bound, and the cases of
+        # test_saturated_ignores_rounding_at_the_speed_limit come last
+        rng = np.random.default_rng(8)
+        cases = []
+        for index in range(1500):
+            theta = float(rng.uniform(-np.pi, np.pi))
+            position = rng.uniform(-5.0, 5.0, 2)
+            angle = rng.uniform(-np.pi, np.pi)
+            goal = position + rng.uniform(0.5, 10.0) * np.array([np.cos(angle),
+                                                                 np.sin(angle)])
+            offset, u_max = rng.uniform(0.05, 1.0), rng.uniform(0.05, 3.0)
+            raw = lead_to_unicycle(nominal_goal(position, goal, u_max), theta, offset)
+            v_max, omega_max = rng.uniform(0.05, 2.0), rng.uniform(0.1, 4.0)
+            if index % 3 == 1:
+                v_max = abs(raw.v)
+            elif index % 3 == 2:
+                omega_max = abs(raw.omega)
+            cases.append((RobotState(*position, theta), goal, ControllerParams(
+                lead_offset=float(offset), u_max=float(u_max), v_max=float(v_max),
+                omega_max=float(omega_max))))
+        for theta in np.linspace(-3.0, 3.0, 61):
+            heading = np.array([np.cos(theta), np.sin(theta)])
+            cases.append((RobotState(0.0, 0.0, theta), 10.0 * heading,
+                          self.CONTROLLER))
+
+        seen = {"saturated": 0, "v = v_max": 0, "v = -v_max": 0,
+                "|omega| = omega_max": 0, "rounded over": 0}
+        for robot, goal, params in cases:
+            v_max, omega_max = params.v_max, params.omega_max
+            raw = lead_to_unicycle(nominal_goal((robot.x, robot.y), goal, params.u_max),
+                                   robot.theta, params.lead_offset)
+            control, _, diag = control_step(robot, None, np.zeros((0, 2)),
+                                            self.BARRIER, params, goal)
+            assert diag.fallback == "empty"
+            assert abs(control.v) <= v_max and abs(control.omega) <= omega_max
+            clipped = clip_to_box(raw, v_max, omega_max)
+            assert (control.v, control.omega) == clipped
+            moved = (abs(raw.v - clipped[0]) > SATURATION_RTOL * v_max
+                     or abs(raw.omega - clipped[1]) > SATURATION_RTOL * omega_max)
+            assert diag.saturated == moved
+            inside = abs(raw.v) <= v_max and abs(raw.omega) <= omega_max
+            if not diag.saturated and inside:
+                assert (control.v, control.omega) == (raw.v, raw.omega)
+            seen["saturated"] += diag.saturated
+            seen["v = v_max"] += raw.v == v_max
+            seen["v = -v_max"] += raw.v == -v_max
+            seen["|omega| = omega_max"] += abs(raw.omega) == omega_max
+            # unsaturated yet outside the box: clipped by rounding only
+            seen["rounded over"] += not diag.saturated and not inside
+        assert min(seen.values()) > 0, seen
 
     def test_saturated_ignores_rounding_at_the_speed_limit(self):
         # a nominal command of norm u_max = v_max along the heading maps to

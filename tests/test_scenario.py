@@ -2,6 +2,7 @@
 
 import copy
 import re
+import warnings
 from dataclasses import is_dataclass
 from typing import get_args, get_type_hints
 
@@ -318,7 +319,7 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
 @pytest.mark.parametrize("key, value, message", [
     ("barrier.mu_floor", 1.0e-3, "barrier: mu_floor must be in (0, 1e-9]"),
     ("obstacles[2].motion.axis", [0.0, 0.0],
-     "obstacles[2].motion: axis must be nonzero"),
+     "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
     ("seed", -1, "seed must be >= 0"),
     ("sensor.beams", 0, "sensor: beams must be > 0"),
     ("sensor.beams", 7201, "sensor: beams must be <= 7200"),
@@ -347,6 +348,14 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
     ("controller.u_max", 1.0e308, "controller: u_max must be <= 1e3"),
     ("controller.v_max", 1000.001, "controller: v_max must be <= 1e3"),
     ("dt", 1.0e306, "dt must be <= 1"),
+    ("obstacles[1].motion.velocity", [0.0, -1000.001],
+     "obstacles[1].motion: velocity must be in [-1e3, 1e3] on each axis"),
+    ("obstacles[2].motion.amplitude", 1.000001e6,
+     "obstacles[2].motion: amplitude must be in [0, 1e6]"),
+    ("obstacles[2].motion.axis", [1.0e6, 1.0],
+     "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
+    ("obstacles[2].motion.axis", [0.0, 0.999999e-6],
+     "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -357,8 +366,9 @@ def test_class_bounds_exit_two_with_section_and_field(key, value, message,
 
 
 def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
-    # coordinates, grid resolution, speeds and dt each at the bound that
-    # keeps position / resolution and the step arithmetic finite
+    # coordinates, grid resolution, speeds, obstacle motion and dt each at
+    # the bound that keeps position / resolution and the step arithmetic
+    # finite, with no numpy overflow warning
     data = with_value("dt", 1.0)
     data["max_time"] = 3.0
     data["robot"]["start"] = [1.0e6, -1.0e6]
@@ -369,7 +379,15 @@ def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
     data["controller"].update(u_max=1.0e3, v_max=1.0e3)
     data["perception"]["grid"]["resolution"] = 1.0e-3
     data["perception"]["clustering"]["eps"] = 1.0e-2
-    assert run_file(tmp_path, data) in (0, 1)
+    data["obstacles"][1]["motion"]["velocity"] = [1.0e3, -1.0e3]
+    data["obstacles"][2]["motion"].update(axis=[-1.0e6, 0.0], amplitude=1.0e6)
+    data["obstacles"].append({"id": "short_axis", "radius": 0.3,
+                              "center": [1.0e6, 1.0e6],
+                              "motion": {"type": "sinusoid", "axis": [0.0, 1.0e-6],
+                                         "amplitude": 0.5, "period": 4.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_file(tmp_path, data) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -422,6 +440,10 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: ControllerParams(v_max=1.0e300), "v_max must be <= 1e3"),
     (lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=1.0e306,
                             max_time=2.0e306), "dt must be <= 1"),
+    (lambda: MotionSpec("velocity", velocity=(1000.001, 0.0)), "velocity must be in"),
+    (lambda: MotionSpec("sinusoid", amplitude=1.000001e6), r"amplitude must be in \[0, 1e6\]"),
+    (lambda: MotionSpec("sinusoid", axis=(-1.0e6, 1.0)), "axis length must be in"),
+    (lambda: MotionSpec("sinusoid", axis=(0.999999e-6, 0.0)), "axis length must be in"),
 ])
 def test_direct_construction_enforces_the_schema_bounds(build, field_name):
     with pytest.raises(ValueError, match=field_name):

@@ -45,6 +45,8 @@ class BarrierParams:
         for name in ("scale", "margin_shift"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        if not self.scale <= 1e6:          # dimensionless; keeps |a|^2 finite
+            raise ValueError("scale must be <= 1e6")
         if not 0.0 < self.mu_floor <= 1e-9:
             raise ValueError("mu_floor must be in (0, 1e-9]")
 
@@ -65,7 +67,7 @@ class BarrierEvaluation:
 
 
 def build_datasets(obstacle_grid: ObstacleGridMap, velocity_grid: np.ndarray,
-                   cap: int = 60) -> tuple[np.ndarray, np.ndarray]:
+                   cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Turn occupied cells into training points with index-aligned velocities.
 
     Points are cell centers in world coordinates, enumerated in row-major

@@ -90,47 +90,37 @@ class World:
     """Owns the obstacles' state and the simulation clock.
 
     On construction it stacks, from the obstacles' spawns, centres (K, 2),
-    radii and radius_sq (K,), and per motion kind the indices of its
-    obstacles and their parameters; it keeps no Obstacle and writes none.
-    advance moves the centres in place with one array operation per moving
-    kind, elementwise exactly as each obstacle's own closed form.
+    radii and radius_sq (K,), and one row per obstacle of each motion
+    parameter: velocity (zero unless constant velocity), reach = unit axis
+    times amplitude (zero unless sinusoid) and period. It keeps no Obstacle
+    and writes none. advance sets every centre at the new time t to
+    spawn + velocity t + reach sin(2 pi t / period), so nothing drifts.
     """
 
     def __init__(self, obstacles: list[Obstacle] | None = None) -> None:
         obstacles = obstacles or []
         self.time = 0.0
-        self.centres = _pairs([ob.spawn for ob in obstacles])
+        self._spawn = _pairs([ob.spawn for ob in obstacles])
+        self.centres = self._spawn.copy()
         self.radii = np.array([ob.radius for ob in obstacles], dtype=float)
         self.radius_sq = np.array([ob.radius**2 for ob in obstacles],
                                   dtype=float)      # libm pow, not r * r
         self._radius_list = self.radii.tolist()
-        moving = [(i, ob) for i, ob in enumerate(obstacles)
-                  if ob.motion.kind == "velocity"]
-        self._moving = np.array([i for i, _ in moving], dtype=np.intp)
-        self._velocity = _pairs([ob.motion.velocity for _, ob in moving])
-        swinging = [(i, ob) for i, ob in enumerate(obstacles)
-                    if ob.motion.kind == "sinusoid"]
-        self._swinging = np.array([i for i, _ in swinging], dtype=np.intp)
-        self._swing_spawn = _pairs([ob.spawn for _, ob in swinging])
-        # unit axis times amplitude, the first product of the closed form
-        self._swing_reach = _pairs([_unit(ob.motion.axis) * ob.motion.amplitude
-                                    for _, ob in swinging])
-        self._swing_period = np.array([ob.motion.period for _, ob in swinging],
-                                      dtype=float)
+        motions = [ob.motion for ob in obstacles]
+        self._velocity = _pairs([m.velocity if m.kind == "velocity" else (0.0, 0.0)
+                                 for m in motions])
+        self._reach = _pairs([_unit(m.axis) * m.amplitude
+                              if m.kind == "sinusoid" else (0.0, 0.0)
+                              for m in motions])
+        self._period = np.array([m.period for m in motions], dtype=float)
 
     def advance(self, dt: float) -> None:
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
-        t_next = self.time + dt
-        centres = self.centres
-        if len(self._moving):
-            centres[self._moving] += self._velocity * dt
-        if len(self._swinging):
-            phase = 2.0 * np.pi * t_next / self._swing_period
-            # closed-form position so long episodes accumulate no drift
-            centres[self._swinging] = (self._swing_spawn
-                                       + self._swing_reach * np.sin(phase)[:, None])
-        self.time = t_next
+        self.time += dt
+        phase = 2.0 * np.pi * self.time / self._period
+        self.centres = (self._spawn + self._velocity * self.time
+                        + self._reach * np.sin(phase)[:, None])
 
     def clearance(self, point) -> float:
         """Distance from a point to the nearest obstacle boundary (inf if none)."""
@@ -155,6 +145,8 @@ class LidarSpec:
             raise ValueError("beam_count must be <= 7200")
         if not self.max_range > 0.0:
             raise ValueError("max_range must be > 0")
+        if not self.max_range <= 1e6:      # m, the coordinate bound
+            raise ValueError("max_range must be <= 1e6")
         if not self.noise_sigma >= 0.0:
             raise ValueError("noise_sigma must be >= 0")
 

@@ -12,7 +12,9 @@ from gpnav.barrier import (BarrierParams, EmptyDataset, build_datasets,
                            evaluate, evaluate_full, export_field)
 from gpnav.gp import GpModel, KernelParams, build_model, grid_mean
 from gpnav.perception.grid import GridSpec, ObstacleGridMap, build_velocity_grid
+from gpnav.perception.pipeline import PerceptionParams
 
+CAP = PerceptionParams().dataset_cap
 KERNEL = KernelParams(length_scale=0.9, jitter=1e-8)
 EXACT_KERNEL = KernelParams(length_scale=0.9, jitter=0.0)
 PARAMS = BarrierParams(scale=1.0, margin_shift=0.1)
@@ -53,7 +55,7 @@ def zero_velocity_grid(grid):
 class TestBuildDatasets:
     def test_single_cell_maps_to_world_center(self):
         grid = grid_with_cells([(4, 7)], origin=(1.0, -2.0))
-        points, velocities = build_datasets(grid, zero_velocity_grid(grid))
+        points, velocities = build_datasets(grid, zero_velocity_grid(grid), CAP)
         assert points.shape == (1, 2)
         # center of cell (4, 7) at resolution 0.2 from origin (1, -2)
         assert np.allclose(points[0], [1.0 + 0.9, -2.0 + 1.5])
@@ -61,7 +63,7 @@ class TestBuildDatasets:
 
     def test_empty_grid_yields_empty_sets(self):
         grid = grid_with_cells([])
-        points, velocities = build_datasets(grid, zero_velocity_grid(grid))
+        points, velocities = build_datasets(grid, zero_velocity_grid(grid), CAP)
         assert len(points) == 0 and len(velocities) == 0
 
     def test_stride_subsample_120_to_60(self):
@@ -79,7 +81,7 @@ class TestBuildDatasets:
         labels = np.array([0, 1, 2])
         vgrid = build_velocity_grid(labels, [np.zeros(2), np.array([0.5, -0.5]),
                                              np.zeros(2)])
-        points, velocities = build_datasets(grid, vgrid)
+        points, velocities = build_datasets(grid, vgrid, CAP)
         assert np.allclose(velocities[0], 0.0)
         assert np.allclose(velocities[1], [0.5, -0.5])
         assert np.allclose(velocities[2], 0.0)
@@ -403,9 +405,10 @@ class TestExportFieldBytes:
         assert data.count(b"\r\n") == 2
 
     def test_large_scale_takes_the_per_row_fallback(self, tmp_path):
-        # far from the data mu hits mu_floor and h = 27.6 * scale > 4.5e6
+        # far from the data mu hits mu_floor and h = 27.6 * scale > 4.5e6 at
+        # the largest scale the schema accepts
         model = build_model([[0.0, 0.0]], params=KERNEL)
-        params = BarrierParams(scale=1e7)
+        params = BarrierParams(scale=1e6)
         data = assert_export_matches_per_row(tmp_path, model, params,
                                              (-20.0, 20.0), (-1.0, 1.0), 0.5)
         h = [float(line.split(b",")[2]) for line in data.split(b"\r\n")[1:-1]]

@@ -356,6 +356,8 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
     ("obstacles[2].motion.axis", [0.0, 0.999999e-6],
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
+    ("barrier.scale", 1.0e160, "barrier: scale must be <= 1e6"),
+    ("sensor.max_range", 1.000001e6, "sensor: max_range must be <= 1e6"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -366,9 +368,9 @@ def test_class_bounds_exit_two_with_section_and_field(key, value, message,
 
 
 def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
-    # coordinates, grid resolution, speeds, obstacle motion and dt each at
-    # the bound that keeps position / resolution and the step arithmetic
-    # finite, with no numpy overflow warning
+    # coordinates, grid resolution, speeds, obstacle motion, sensor range,
+    # barrier scale and dt each at the bound that keeps position / resolution
+    # and the step arithmetic finite, with no numpy overflow warning
     data = with_value("dt", 1.0)
     data["max_time"] = 3.0
     data["robot"]["start"] = [1.0e6, -1.0e6]
@@ -379,6 +381,8 @@ def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
     data["controller"].update(u_max=1.0e3, v_max=1.0e3)
     data["perception"]["grid"]["resolution"] = 1.0e-3
     data["perception"]["clustering"]["eps"] = 1.0e-2
+    data["sensor"]["max_range"] = 1.0e6
+    data["barrier"]["scale"] = 1.0e6
     data["obstacles"][1]["motion"]["velocity"] = [1.0e3, -1.0e3]
     data["obstacles"][2]["motion"].update(axis=[-1.0e6, 0.0], amplitude=1.0e6)
     data["obstacles"].append({"id": "short_axis", "radius": 0.3,

@@ -300,7 +300,8 @@ def test_wrap_angle_range():
 
 
 class _ReferenceObstacle:
-    """One obstacle moved by its own closed form, one numpy update per step."""
+    """One obstacle moved by its own closed form at time t, one numpy update
+    per step."""
 
     def __init__(self, obstacle):
         self.radius = obstacle.radius
@@ -311,11 +312,11 @@ class _ReferenceObstacle:
         axis = np.asarray(obstacle.motion.axis, dtype=float)
         self.unit_axis = axis / np.linalg.norm(axis)
 
-    def advance(self, t_next, dt):
+    def advance(self, t):
         if self.motion.kind == "velocity":
-            self.center = self.center + self.velocity * dt
+            self.center = self.spawn + self.velocity * t
         elif self.motion.kind == "sinusoid":
-            phase = 2.0 * np.pi * t_next / self.motion.period
+            phase = 2.0 * np.pi * t / self.motion.period
             self.center = (self.spawn
                            + self.unit_axis * self.motion.amplitude * np.sin(phase))
 
@@ -383,7 +384,7 @@ def test_stacked_world_matches_per_obstacle_closed_form(seed):
         world.advance(dt)
         t += dt
         for ref in reference:
-            ref.advance(t, dt)
+            ref.advance(t)
         expected = np.array([ref.center for ref in reference])
         assert world.time == t
         assert world.centres.tobytes() == expected.tobytes()
@@ -396,6 +397,44 @@ def test_stacked_world_matches_per_obstacle_closed_form(seed):
         squared = np.matmul(offsets[:, None, :], offsets[:, :, None]).ravel().tolist()
         assert world.clearance(robot.position) == min(
             math.sqrt(sq) - ref.radius for sq, ref in zip(squared, reference))
+
+
+def test_every_centre_is_one_closed_form_in_time():
+    """Over 10,000 steps each centre is spawn + velocity t
+    + reach sin(2 pi t / period) at the world's clock, bit for bit, with the
+    terms of the other motion kinds adding exact zeros."""
+    rng = np.random.default_rng(5)
+    obstacles = [
+        Obstacle("s", 0.4, np.array([1.5, -2.0])),
+        Obstacle("v0", 0.3, np.array([-3.0, 0.5]),
+                 MotionSpec("velocity", velocity=(0.7, -0.2))),
+        Obstacle("v1", 0.6, np.array([2.0, 4.0]),
+                 MotionSpec("velocity", velocity=(-1.3, 0.9))),
+        Obstacle("w0", 0.5, np.array([0.0, 1.0]),
+                 MotionSpec("sinusoid", axis=(3.0, -4.0), amplitude=0.8,
+                            period=2.5)),
+        Obstacle("w1", 0.2, np.array([-1.0, -1.0]),
+                 MotionSpec("sinusoid", axis=(0.0, 1.0), amplitude=1.7,
+                            period=6.0)),
+    ]
+    reference = [_ReferenceObstacle(ob) for ob in obstacles]
+    world = World(obstacles)
+    for dt in rng.choice([0.05, 0.04, 0.013], 10_000).tolist():
+        world.advance(dt)
+        for ref in reference:
+            ref.advance(world.time)
+        expected = np.array([ref.center for ref in reference])
+        assert world.centres.tobytes() == expected.tobytes()
+    assert world.time > 300.0
+
+
+def test_empty_world_advances():
+    world = World()
+    world.advance(0.1)
+    world.advance(0.1)
+    assert world.time == 0.1 + 0.1
+    assert world.centres.shape == (0, 2)
+    assert world.clearance((0.0, 0.0)) == np.inf
 
 
 def _array_rk4(state, control, dt):

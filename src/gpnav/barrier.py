@@ -103,7 +103,7 @@ def _log_value(mu, params: BarrierParams):
 def evaluate(model: GpModel, params: BarrierParams, position) -> float:
     """Barrier value at one position."""
     mu, _, _ = mean_terms(_require_points(model), position)
-    return float(_log_value(mu[0], params))
+    return float(_log_value(mu, params))
 
 
 def evaluate_full(model: GpModel, params: BarrierParams, position, velocities,
@@ -118,25 +118,17 @@ def evaluate_full(model: GpModel, params: BarrierParams, position, velocities,
     if variant not in VARIANTS:
         raise ValueError(f"unknown barrier variant {variant!r}")
     moving = None if variant == "dlgp-no-dhdt" else velocities
-    mu_q, grad_q, rate_q = mean_terms(_require_points(model), position, moving)
-    mu = float(mu_q[0])
-
+    mu, grad, rate = mean_terms(_require_points(model), position, moving)
     if variant == "gp-linear":
-        grad_pos = -grad_q[0]
-        return BarrierEvaluation(value=LINEAR_PRIOR - mu,
-                                 grad_state=np.array([grad_pos[0], grad_pos[1], 0.0]),
-                                 time_derivative=-float(rate_q[0]), mu=mu,
-                                 clamped=False)
-
-    value = float(_log_value(mu, params))
-    if mu <= params.mu_floor:
-        return BarrierEvaluation(value=value, grad_state=np.zeros(3),
-                                 time_derivative=0.0, mu=mu, clamped=True)
-    grad_pos = -params.scale * grad_q[0] / mu
-    dhdt = 0.0 if rate_q is None else -params.scale * float(rate_q[0]) / mu
+        value, clamped, grad_pos, dhdt = LINEAR_PRIOR - mu, False, -grad, -rate
+    else:
+        value = float(_log_value(mu, params))
+        clamped = mu <= params.mu_floor
+        grad_pos = np.zeros(2) if clamped else -params.scale * grad / mu
+        dhdt = 0.0 if clamped or rate is None else -params.scale * rate / mu
     return BarrierEvaluation(value=value,
                              grad_state=np.array([grad_pos[0], grad_pos[1], 0.0]),
-                             time_derivative=dhdt, mu=mu, clamped=False)
+                             time_derivative=dhdt, mu=mu, clamped=clamped)
 
 
 def model_from_datasets(points: np.ndarray, kernel: KernelParams) -> GpModel | None:

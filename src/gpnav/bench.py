@@ -111,7 +111,7 @@ def check_gradients(cases: int = 100, seed: int = 0) -> dict[str, float]:
         velocities = rng.uniform(-1.0, 1.0, (size, 2))
         model = build_model(points, params=kernel)
         query = rng.uniform(-3.0, 3.0, 2)
-        if mean_terms(model, query)[0][0] < 1e-8:
+        if mean_terms(model, query)[0] < 1e-8:
             query = points[0] + rng.uniform(-0.5, 0.5, 2)
 
         evaluation = barrier.evaluate_full(model, params, query, velocities)

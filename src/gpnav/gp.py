@@ -1,9 +1,9 @@
 """Zero-mean Gaussian process regression with a squared-exponential kernel.
 
 Provides model construction through a Cholesky factorization (LAPACK's
-dpotrf/dpotrs, called directly) plus one vectorised query pass that returns
-the posterior mean, its spatial gradient and its rate of change as the
-training points move, which is all the barrier synthesis needs, plus a
+dpotrf/dpotrs, called directly) plus one query pass at a single point that
+returns the posterior mean, its spatial gradient and its rate of change as
+the training points move, which is all the barrier synthesis needs, plus a
 separable pass for the mean over a rectangular grid.
 Queries are pure and read-only on an immutable model, so they are safe to
 evaluate concurrently.
@@ -51,8 +51,9 @@ class KernelParams:
     jitter: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not self.length_scale > 0.0:
-            raise ValueError("length_scale must be > 0")
+        # the grid resolution's floor; near 1e-158 m the kernel's exponent overflows
+        if not self.length_scale >= 1e-3:
+            raise ValueError("length_scale must be >= 1e-3")
         if not self.length_scale <= 1e3:
             raise ValueError("length_scale must be <= 1e3")
         if not self.jitter >= 0.0:
@@ -129,19 +130,19 @@ def build_model(points, params: KernelParams | None = None) -> GpModel:
                    chol_lower=chol_lower, alpha=alpha)
 
 
-def mean_terms(model: GpModel, queries, velocities=None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Posterior mean and its derivatives at Q query points, in one pass.
+def mean_terms(model: GpModel, query, velocities=None
+               ) -> tuple[float, np.ndarray, float | None]:
+    """Posterior mean and its derivatives at one (2,) query point, in one pass.
 
-    Returns (mu (Q,), dmu_dq (Q, 2), dmu_dt (Q,) or None). With k the (Q, N)
-    kernel block and A = cov + jitter*I:
+    Returns (mu, dmu_dq (2,), dmu_dt or None). With k the (N,) kernel row
+    and A = cov + jitter*I:
 
       mu     = k alpha
       dmu/dq = -(1/l^2) sum_i alpha_i k_i (q - d_i)
       dmu/dt = kdot alpha - k beta,  beta = A^-1 (Kdot alpha)
 
     where the training points move with the given (N, 2) velocities,
-    kdot_qi = (1/l^2) k_qi (q - d_i)^T v_i and
+    kdot_i = (1/l^2) k_i (q - d_i)^T v_i and
     Kdot_ij = -(1/l^2) K_ij (d_i - d_j)^T (v_i - v_j); any rigid translation
     of the point set makes Kdot exactly zero. dmu_dt is None when velocities
     is None, which skips the beta solve; non-finite velocities raise
@@ -158,12 +159,13 @@ def mean_terms(model: GpModel, queries, velocities=None
     terms stay the size of the point spread rather than the distance to the
     origin, so they cancel without losing digits far from it.
     """
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    q = np.asarray(query, dtype=float)
     l2 = model.params.length_scale**2
-    diff = q[:, None, :] - model.points[None, :, :]
+    diff = q - model.points
     k = _se_kernel(diff, model.params)
-    mu = k @ model.alpha
-    dmu_dq = -np.einsum("qi,qik->qk", k * model.alpha, diff) / l2
+    mu = float(k @ model.alpha)
+    # einsum, not @: a matrix product rounds the gradient's last bits differently
+    dmu_dq = -np.einsum("i,ik->k", k * model.alpha, diff) / l2
     if velocities is None:
         return mu, dmu_dq, None
 
@@ -185,8 +187,8 @@ def mean_terms(model: GpModel, queries, velocities=None
     p = model.cov @ (rows * model.alpha[:, None])
     kdot_alpha = -np.einsum("ij,ij->i", rows @ _RATE_PAIRING, p) / l2
     beta = model.solve(kdot_alpha)
-    kdot = k * np.einsum("qik,ik->qi", diff, v) / l2
-    dmu_dt = kdot @ model.alpha - k @ beta
+    kdot = k * np.einsum("ik,ik->i", diff, v) / l2
+    dmu_dt = float(kdot @ model.alpha - k @ beta)
     return mu, dmu_dq, dmu_dt
 
 
@@ -202,7 +204,7 @@ def grid_mean(model: GpModel, xs, ys) -> np.ndarray:
     product (kx * alpha) @ ky.T. That takes N (nx + ny) exponentials instead
     of N nx ny, and no (nx ny, N, 2) difference array. Entry [a, b] is the
     query (xs[a], ys[b]), so .ravel() gives the meshgrid(xs, ys,
-    indexing="ij") order. Scattered queries go through mean_terms.
+    indexing="ij") order. A single point goes through mean_terms.
     """
     scale = 2.0 * model.params.length_scale**2
     dx = np.asarray(xs, dtype=float)[:, None] - model.points[None, :, 0]

@@ -50,8 +50,9 @@ class MotionSpec:
             raise ValueError("velocity must be in [-1e3, 1e3] on each axis")
         if not 0.0 <= self.amplitude <= 1e6:
             raise ValueError("amplitude must be in [0, 1e6]")
-        if not self.period > 0.0:
-            raise ValueError("period must be > 0")
+        # keeps the phase 2 pi t / period finite for any accepted episode
+        if not self.period >= 1e-3:
+            raise ValueError("period must be >= 1e-3")
         # a direction has no scale; this keeps np.linalg.norm in _unit finite
         if not 1e-6 <= math.hypot(*self.axis) <= 1e6:
             raise ValueError("axis length must be in [1e-6, 1e6]")

@@ -1,11 +1,19 @@
-"""Shared helpers: harvesting frame datasets from the real perception stack."""
+"""Shared helpers: harvesting frame datasets from the real perception stack,
+and the one hypothesis profile of the suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from gpnav.barrier import build_datasets
 from gpnav.perception.pipeline import PerceptionPipeline
 from gpnav.scenario import build_world, load_scenario, resolve_scenario
 from gpnav.simworld import RobotState, cast_lidar
+
+# every property test draws the same examples on each run and keeps no
+# example database, so a failure shows on every run, not on some
+settings.register_profile("reproducible", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("reproducible")
 
 SUITE_NAMES = ("static_slalom", "head_on", "crossing", "mixed_field",
                "narrow_gap")

@@ -416,8 +416,7 @@ class TestExportFieldBytes:
         assert min(map(abs, h)) < barrier._FIXED9_LIMIT
 
 
-DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
-                        max_examples=150)
+DERANDOMIZED = settings(max_examples=150)
 LIMIT = barrier._FIXED9_LIMIT
 # odd multiples of 2**-10 have ten decimals ending in 5: exact ties at nine
 TIES = st.integers(-2**31, 2**31 - 1).map(lambda k: (2 * k + 1) / 1024)

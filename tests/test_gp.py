@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from gpnav.bench import random_dataset
-from gpnav.gp import (FactorizationFailure, KernelParams, build_model, grid_mean,
-                      mean_terms)
+from gpnav.gp import (_RATE_PAIRING, FactorizationFailure, KernelParams,
+                      build_model, grid_mean, mean_terms)
 
 PARAMS = KernelParams(length_scale=0.9, jitter=1e-8)
 EXACT = KernelParams(length_scale=0.9, jitter=0.0)
@@ -23,15 +23,15 @@ def random_model(rng, n, spread=3.0, params=PARAMS):
 
 
 def mean(model, query):
-    return mean_terms(model, query)[0][0]
+    return mean_terms(model, query)[0]
 
 
 def mean_grad(model, query):
-    return mean_terms(model, query)[1][0]
+    return mean_terms(model, query)[1]
 
 
 def mean_rate(model, query, velocities):
-    return mean_terms(model, query, velocities)[2][0]
+    return mean_terms(model, query, velocities)[2]
 
 
 # Dense single-query forms of the mean and its derivatives, kept here as the
@@ -174,8 +174,8 @@ class TestPredictiveMean:
         # 0.2 m spaced line, jitter 1e-8: |mu - 1| at any training point <= 1e-4
         points = np.stack([np.arange(40) * 0.2, np.zeros(40)], axis=1)
         model = build_model(points, params=PARAMS)
-        mu, _, _ = mean_terms(model, points)
-        assert np.max(np.abs(mu - 1.0)) <= 1e-4
+        for point in points:
+            assert abs(mean(model, point) - 1.0) <= 1e-4
 
 
 class TestMeanGradient:
@@ -222,8 +222,8 @@ class TestTimeDerivatives:
         assert np.all(dense_cov_rate(model, velocity) == 0.0)
         for query in rng.uniform(-3, 3, (10, 2)):
             _, grad, rate = mean_terms(model, query, velocity)
-            assert rate[0] == pytest.approx(-grad[0] @ [0.7, -0.3], rel=1e-12,
-                                            abs=1e-18)
+            assert rate == pytest.approx(-grad @ [0.7, -0.3], rel=1e-12,
+                                         abs=1e-18)
 
     def test_zero_velocity_zeroes_both(self):
         rng = np.random.default_rng(8)
@@ -231,8 +231,8 @@ class TestTimeDerivatives:
         zeros = np.zeros((6, 2))
         assert np.all(dense_cov_rate(model, zeros) == 0.0)
         assert np.all(dense_query_rate(model, (0.0, 0.0), zeros) == 0.0)
-        _, _, rate = mean_terms(model, rng.uniform(-3, 3, (5, 2)), zeros)
-        assert np.all(rate == 0.0)
+        for query in rng.uniform(-3, 3, (5, 2)):
+            assert mean_rate(model, query, zeros) == 0.0
 
     def test_cov_rate_symmetric(self):
         rng = np.random.default_rng(9)
@@ -314,8 +314,7 @@ def test_mean_time_rate_matches_finite_difference():
 
 def check_against_dense_forms(n, shift=(0.0, 0.0)):
     # point sets as bench_barrier draws them (0.2 m minimum spacing over a
-    # 10 m square), moved by shift; all queries of a model go through one
-    # mean_terms call
+    # 10 m square), moved by shift
     rng = np.random.default_rng(300 + n)
 
     def rel(value, ref):
@@ -324,14 +323,14 @@ def check_against_dense_forms(n, shift=(0.0, 0.0)):
     for _ in range(10):
         points, vel = random_dataset(rng, n)
         model = build_model(points + shift, params=PARAMS)
-        queries = rng.uniform(-6, 6, (20, 2)) + shift
-        mu, grad, rate = mean_terms(model, queries, vel)
-        assert mu.shape == (20,) and grad.shape == (20, 2) and rate.shape == (20,)
-        for i, query in enumerate(queries):
+        for query in rng.uniform(-6, 6, (20, 2)) + shift:
+            mu, grad, rate = mean_terms(model, query, vel)
+            assert isinstance(mu, float) and isinstance(rate, float)
+            assert grad.shape == (2,)
             ref_mu, ref_grad, ref_rate = dense_terms(model, query, vel)
-            assert rel(mu[i], ref_mu) <= 1e-9
-            assert rel(grad[i], ref_grad) <= 1e-9
-            assert rel(rate[i], ref_rate) <= 1e-9
+            assert rel(mu, ref_mu) <= 1e-9
+            assert rel(grad, ref_grad) <= 1e-9
+            assert rel(rate, ref_rate) <= 1e-9
 
 
 class TestMeanTerms:
@@ -350,12 +349,60 @@ class TestMeanTerms:
         rng = np.random.default_rng(13)
         points, vel = random_dataset(rng, 12, spread=2.0)
         model = build_model(points, params=PARAMS)
-        queries = rng.uniform(-3, 3, (7, 2))
-        mu, grad, rate = mean_terms(model, queries)
-        assert rate is None
-        moving = mean_terms(model, queries, vel)
-        np.testing.assert_array_equal(mu, moving[0])
-        np.testing.assert_array_equal(grad, moving[1])
+        for query in rng.uniform(-3, 3, (7, 2)):
+            mu, grad, rate = mean_terms(model, query)
+            assert rate is None
+            moving = mean_terms(model, query, vel)
+            assert mu == moving[0]
+            np.testing.assert_array_equal(grad, moving[1])
+
+    @pytest.mark.parametrize("moving", [False, True],
+                             ids=["without-velocities", "with-velocities"])
+    def test_one_point_equals_batched_forms_bit_for_bit(self, moving):
+        # each reference is a (1, 2) batch, the one point the barrier asks
+        # about; a longer batch can round the products differently
+        rng = np.random.default_rng(14)
+        for n in range(1, 61):
+            points, vel = random_dataset(rng, n)
+            model = build_model(points, params=PARAMS)
+            velocities = vel if moving else None
+            queries = np.concatenate([rng.uniform(-6, 6, (3, 2)),
+                                      points[:1] + rng.uniform(-0.3, 0.3, (1, 2))])
+            for query in queries:
+                mu, grad, rate = mean_terms(model, query, velocities)
+                ref_mu, ref_grad, ref_rate = batched_terms(model, query, velocities)
+                assert mu == ref_mu[0]
+                np.testing.assert_array_equal(grad, ref_grad[0])
+                if moving:
+                    assert rate == ref_rate[0]
+                else:
+                    assert rate is None
+
+
+def batched_terms(model, queries, velocities=None):
+    """The batched form of mean_terms over a (Q, 2) batch of queries, the
+    reference that the one-point form reproduces bit for bit."""
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    l2 = model.params.length_scale**2
+    diff = q[:, None, :] - model.points[None, :, :]
+    sq = np.einsum("...k,...k->...", diff, diff)
+    k = np.exp(-sq / (2.0 * l2))
+    mu = k @ model.alpha
+    dmu_dq = -np.einsum("qi,qik->qk", k * model.alpha, diff) / l2
+    if velocities is None:
+        return mu, dmu_dq, None
+    v = np.asarray(velocities, dtype=float)
+    d = model.points - model.points.sum(axis=0) / model.size
+    rows = np.empty((model.size, 6))
+    rows[:, 0] = 1.0
+    rows[:, 1:3] = v
+    rows[:, 3:5] = d
+    rows[:, 5] = np.einsum("ik,ik->i", d, v)
+    p = model.cov @ (rows * model.alpha[:, None])
+    kdot_alpha = -np.einsum("ij,ij->i", rows @ _RATE_PAIRING, p) / l2
+    beta = model.solve(kdot_alpha)
+    kdot = k * np.einsum("qik,ik->qi", diff, v) / l2
+    return mu, dmu_dq, kdot @ model.alpha - k @ beta
 
 
 # Rectangles as (x_range, y_range, resolution): non-square and off-centre, a
@@ -381,7 +428,7 @@ def test_grid_mean_matches_mean_terms(n):
             assert mu.shape == (len(xs), len(ys))
             queries = np.stack(np.meshgrid(xs, ys, indexing="ij"),
                                axis=-1).reshape(-1, 2)
-            reference = mean_terms(model, queries)[0]
+            reference = np.array([mean(model, query) for query in queries])
             rel = np.abs(mu.ravel() - reference) / np.abs(reference)
             assert np.max(rel) <= 1e-11
 

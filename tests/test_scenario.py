@@ -1,16 +1,24 @@
 """Scenario loading: defaults, strict validation, and the shipped files."""
 
 import copy
+import io
+import math
 import re
+import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import is_dataclass
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpnav import scenario
-from gpnav.barrier import BarrierParams
+from gpnav.barrier import VARIANTS, BarrierParams
 from gpnav.cli import main
 from gpnav.controller import ControllerParams
 from gpnav.gp import KernelParams
@@ -21,7 +29,7 @@ from gpnav.scenario import (GoalConfig, ObstacleConfig, ParseError, RobotConfig,
                             ScenarioConfig, ValidationError, build_world,
                             canonical_scenarios, load_scenario, resolve_scenario,
                             scenario_from_dict, with_variant)
-from gpnav.simworld import LidarSpec, MotionSpec
+from gpnav.simworld import MOTION_KINDS, LidarSpec, MotionSpec
 
 MINIMAL = {
     "goal": {"position": [10.0, -2.0]},
@@ -358,6 +366,9 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
     ("barrier.scale", 1.0e160, "barrier: scale must be <= 1e6"),
     ("sensor.max_range", 1.000001e6, "sensor: max_range must be <= 1e6"),
+    ("obstacles[2].motion.period", 9.99e-4,
+     "obstacles[2].motion: period must be >= 1e-3"),
+    ("kernel.length_scale", 9.99e-4, "kernel: length_scale must be >= 1e-3"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -369,8 +380,9 @@ def test_class_bounds_exit_two_with_section_and_field(key, value, message,
 
 def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
     # coordinates, grid resolution, speeds, obstacle motion, sensor range,
-    # barrier scale and dt each at the bound that keeps position / resolution
-    # and the step arithmetic finite, with no numpy overflow warning
+    # barrier scale, kernel length scale and dt each at the bound that keeps
+    # position / resolution and the step arithmetic finite, with no numpy
+    # overflow warning
     data = with_value("dt", 1.0)
     data["max_time"] = 3.0
     data["robot"]["start"] = [1.0e6, -1.0e6]
@@ -383,8 +395,10 @@ def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
     data["perception"]["clustering"]["eps"] = 1.0e-2
     data["sensor"]["max_range"] = 1.0e6
     data["barrier"]["scale"] = 1.0e6
+    data["kernel"]["length_scale"] = 1.0e-3
     data["obstacles"][1]["motion"]["velocity"] = [1.0e3, -1.0e3]
-    data["obstacles"][2]["motion"].update(axis=[-1.0e6, 0.0], amplitude=1.0e6)
+    data["obstacles"][2]["motion"].update(axis=[-1.0e6, 0.0], amplitude=1.0e6,
+                                          period=1.0e-3)
     data["obstacles"].append({"id": "short_axis", "radius": 0.3,
                               "center": [1.0e6, 1.0e6],
                               "motion": {"type": "sinusoid", "axis": [0.0, 1.0e-6],
@@ -393,6 +407,115 @@ def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
         warnings.simplefilter("error")
         assert run_file(tmp_path, data) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# the largest finite double and the least positive one, a subnormal
+HUGE = sys.float_info.max
+TINY = 5e-324
+
+
+def log_uniform(low, high):
+    """Floats in [low, high], 0 < low, whose logarithm is uniform."""
+    return st.floats(math.log(low), math.log(high)).map(
+        lambda x: min(high, max(low, math.exp(x))))
+
+
+def positive(high=HUGE):
+    return log_uniform(TINY, high)
+
+
+def nonnegative(high=HUGE):
+    return st.one_of(st.just(0.0), positive(high))
+
+
+def signed(high):
+    return st.builds(lambda x, negative: -x if negative else x,
+                     nonnegative(high), st.booleans())
+
+
+@st.composite
+def in_bound_scenarios(draw):
+    """A scenario with every value inside its bound, each float drawn
+    log-uniform across its range; sizes, obstacles and episode length fit a
+    small budget, and each obstacle's edge lies within 4 m of the start."""
+    dt = draw(positive(1.0))
+    q_pos = draw(nonnegative())
+    resolution = draw(log_uniform(1e-3, 1e3))
+    start = [draw(signed(1e6)), draw(signed(1e6))]
+
+    def motion():
+        kind = draw(st.sampled_from(MOTION_KINDS))
+        if kind == "velocity":
+            return {"type": kind,
+                    "velocity": [draw(signed(1e3)), draw(signed(1e3))]}
+        if kind == "static":
+            return {"type": kind}
+        angle = draw(st.floats(-math.pi, math.pi))
+        length = draw(log_uniform(1e-6, 1e6))
+        return {"type": kind, "period": draw(log_uniform(1e-3, HUGE)),
+                "axis": [length * math.cos(angle), length * math.sin(angle)],
+                "amplitude": draw(nonnegative(1e6))}
+
+    def obstacle(index):
+        # the edge lies 0.1 to 4 m from the start
+        radius = draw(positive(1e3))
+        angle = draw(st.floats(-math.pi, math.pi))
+        distance = radius + draw(st.floats(0.1, 4.0))
+        center = [min(1e6, max(-1e6, c + distance * f(angle)))
+                  for c, f in zip(start, (math.cos, math.sin))]
+        return {"id": f"o{index}", "radius": radius, "center": center,
+                "motion": motion()}
+
+    obstacles = [obstacle(index) for index in range(draw(st.integers(1, 4)))]
+    return {
+        "schema": 1, "name": "drawn", "seed": draw(st.integers(0, 2**64)),
+        # 1 to 40 steps of dt, and at most 1 s
+        "dt": dt, "max_time": min(1.0, draw(st.integers(1, 40)) * dt),
+        "robot": {"start": start, "heading": draw(signed(HUGE))},
+        "goal": {"position": [draw(signed(1e6)), draw(signed(1e6))],
+                 "arrival_radius": draw(positive())},
+        "obstacles": obstacles,
+        "controller": {"alpha_slope": draw(positive()),
+                       "lead_offset": draw(positive()),
+                       "u_max": draw(positive(1e3)), "v_max": draw(positive(1e3)),
+                       "omega_max": draw(positive()),
+                       "variant": draw(st.sampled_from(VARIANTS))},
+        "barrier": {"scale": draw(positive(1e6)),
+                    "margin_shift": draw(positive()),
+                    "mu_floor": draw(positive(1e-9))},
+        "kernel": {"length_scale": draw(log_uniform(1e-3, 1e3)),
+                   "jitter": draw(nonnegative(1.0))},
+        "perception": {
+            "grid": {"width": draw(st.integers(1, 120)),
+                     "height": draw(st.integers(1, 120)),
+                     "resolution": resolution},
+            "clustering": {"eps": draw(positive(10.0 * resolution)),
+                           "min_pts": draw(st.integers(1, 2**64))},
+            "mvee_tolerance": draw(positive()),
+            "dataset_cap": draw(st.integers(1, 100)),
+            "tracker": {"d_max": draw(positive()), "min_speed": draw(nonnegative()),
+                        "q_pos": q_pos, "q_vel": draw(nonnegative()),
+                        "q_acc": draw(nonnegative()),
+                        # q_pos + r_center must be > 0
+                        "r_center": draw(nonnegative() if q_pos else positive())}},
+        "sensor": {"beams": draw(st.integers(1, 720)),
+                   # half the draws reach 4 m, so that the GP sees obstacles
+                   "max_range": draw(st.one_of(positive(1e6),
+                                               log_uniform(4.0, 1e6))),
+                   "noise_sigma": draw(nonnegative())},
+    }
+
+
+@settings(max_examples=200)
+@given(in_bound_scenarios())
+def test_every_in_bound_scenario_ends_as_an_outcome(data):
+    # numpy's RuntimeWarnings are errors in this suite, so an overflow or a
+    # division by zero fails here as well as a traceback does
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "drawn.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["run", str(path)]) in (0, 1, 2, 3)
 
 
 def test_episode_length_bound_counts_steps_as_the_episode_does():
@@ -448,6 +571,8 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: MotionSpec("sinusoid", amplitude=1.000001e6), r"amplitude must be in \[0, 1e6\]"),
     (lambda: MotionSpec("sinusoid", axis=(-1.0e6, 1.0)), "axis length must be in"),
     (lambda: MotionSpec("sinusoid", axis=(0.999999e-6, 0.0)), "axis length must be in"),
+    (lambda: MotionSpec("sinusoid", period=9.99e-4), r"period must be >= 1e-3"),
+    (lambda: KernelParams(length_scale=9.99e-4), r"length_scale must be >= 1e-3"),
 ])
 def test_direct_construction_enforces_the_schema_bounds(build, field_name):
     with pytest.raises(ValueError, match=field_name):

@@ -155,7 +155,7 @@ class TestAssociate:
                 reference[i, j] = float(np.linalg.norm(track - det))
         assert np.max(np.abs(affinity_matrix(tracks, dets) - reference)) <= 1e-14
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(0, 25), st.integers(0, 25), st.data())
     def test_affinity_equals_norm_bit_for_bit(self, n, m, data):
         coordinates = st.floats(-1e6, 1e6, allow_nan=False)

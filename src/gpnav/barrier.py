@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import bounded, check_bounds
 from .gp import GpModel, KernelParams, build_model, grid_mean, mean_terms
 from .perception.grid import ObstacleGridMap
 
@@ -37,18 +38,12 @@ class BarrierParams:
     round to or below zero).
     """
 
-    scale: float = 1.0
-    margin_shift: float = 0.1
-    mu_floor: float = 1e-12
+    scale: float = bounded(1.0, "(0, 1e6]")   # dimensionless; keeps |a|^2 finite
+    margin_shift: float = bounded(0.1, "(0, inf)")
+    mu_floor: float = bounded(1e-12, "(0, 1e-9]")
 
     def __post_init__(self) -> None:
-        for name in ("scale", "margin_shift"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.scale <= 1e6:          # dimensionless; keeps |a|^2 finite
-            raise ValueError("scale must be <= 1e6")
-        if not 0.0 < self.mu_floor <= 1e-9:
-            raise ValueError("mu_floor must be in (0, 1e-9]")
+        check_bounds(self)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import barrier
+from ._bounds import bounded, check_bounds
 from .barrier import BarrierEvaluation, BarrierParams
 from .gp import GpModel
 from .simworld import RobotState
@@ -51,20 +52,15 @@ class SafetyConstraint:
 
 @dataclass(frozen=True)
 class ControllerParams:
-    alpha_slope: float = 0.2
-    lead_offset: float = 0.3       # m, leading point ahead of the robot
-    u_max: float = 0.8             # m/s, nominal command magnitude
-    v_max: float = 0.8             # m/s, linear saturation
-    omega_max: float = 2.0         # rad/s, angular saturation
+    alpha_slope: float = bounded(0.2, "(0, inf)")
+    lead_offset: float = bounded(0.3, "(0, inf)")  # m, leading point ahead of robot
+    u_max: float = bounded(0.8, "(0, 1e3]")        # m/s, nominal command magnitude
+    v_max: float = bounded(0.8, "(0, 1e3]")        # m/s, linear saturation
+    omega_max: float = bounded(2.0, "(0, inf)")    # rad/s, angular saturation
     variant: str = "dlgp"
 
     def __post_init__(self) -> None:
-        for name in ("alpha_slope", "lead_offset", "u_max", "v_max", "omega_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("u_max", "v_max"):
-            if not getattr(self, name) <= 1e3:
-                raise ValueError(f"{name} must be <= 1e3")
+        check_bounds(self)
         if self.variant not in barrier.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"expected one of {list(barrier.VARIANTS)}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import bounded, check_bounds
 from ._scipy import extension
 
 _flapack = extension("scipy.linalg._flapack")
@@ -47,19 +48,12 @@ class KernelParams:
     flattens until it no longer keeps the robot off obstacles.
     """
 
-    length_scale: float = 0.9
-    jitter: float = 1e-8
+    # the grid resolution's floor; near 1e-158 m the kernel's exponent overflows
+    length_scale: float = bounded(0.9, "[1e-3, 1e3]")
+    jitter: float = bounded(1e-8, "[0, 1]")
 
     def __post_init__(self) -> None:
-        # the grid resolution's floor; near 1e-158 m the kernel's exponent overflows
-        if not self.length_scale >= 1e-3:
-            raise ValueError("length_scale must be >= 1e-3")
-        if not self.length_scale <= 1e3:
-            raise ValueError("length_scale must be <= 1e3")
-        if not self.jitter >= 0.0:
-            raise ValueError("jitter must be >= 0")
-        if not self.jitter <= 1.0:
-            raise ValueError("jitter must be <= 1")
+        check_bounds(self)
 
 
 # b_i M b_j^T = (d_i - d_j)^T (v_i - v_j) for the rows b_i = [1, v_i, d_i, d_i.v_i]:

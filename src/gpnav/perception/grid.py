@@ -6,26 +6,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._bounds import bounded, check_bounds
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of the local grid window (cells and meters per cell)."""
 
-    width: int = 60
-    height: int = 60
-    resolution: float = 0.2
+    width: int = bounded(60, "(0, 1000]")          # 200 m at 0.2 m per cell
+    height: int = bounded(60, "(0, 1000]")
+    resolution: float = bounded(0.2, "[1e-3, 1e3]")
 
     def __post_init__(self) -> None:
-        for name in ("width", "height", "resolution"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"grid {name} must be > 0")
-        for name in ("width", "height"):          # 200 m at 0.2 m per cell
-            if not getattr(self, name) <= 1000:
-                raise ValueError(f"grid {name} must be <= 1000")
-        if not self.resolution >= 1e-3:
-            raise ValueError("grid resolution must be >= 1e-3")
-        if not self.resolution <= 1e3:
-            raise ValueError("grid resolution must be <= 1e3")
+        check_bounds(self)
 
 
 def grid_origin(robot_position, spec: GridSpec) -> np.ndarray:

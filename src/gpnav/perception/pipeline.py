@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._bounds import bounded, check_bounds
 from .clustering import dbscan
 from .ellipse import Ellipse, fit_mvee
 from .grid import (GridSpec, ObstacleGridMap, build_velocity_grid,
@@ -22,27 +23,23 @@ FIT_MEMO_CAPACITY = 4096   # distinct cell patterns kept before the memo is clea
 
 @dataclass(frozen=True)
 class ClusteringParams:
-    eps: float = 0.35              # m; above the 0.283 m cell diagonal so
-    min_pts: int = 2               # adjacent cells of one obstacle connect
+    eps: float = bounded(0.35, "(0, inf)")   # m; above the 0.283 m cell diagonal so
+    min_pts: int = bounded(2, "(0, inf)")    # adjacent cells of one obstacle connect
 
     def __post_init__(self) -> None:
-        for name in ("eps", "min_pts"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class PerceptionParams:
     grid: GridSpec = field(default_factory=GridSpec)
     clustering: ClusteringParams = field(default_factory=ClusteringParams)
-    mvee_tolerance: float = 1e-4
+    mvee_tolerance: float = bounded(1e-4, "(0, inf)")
     tracker: TrackerParams = field(default_factory=TrackerParams)
-    dataset_cap: int = 60
+    dataset_cap: int = bounded(60, "(0, inf)")
 
     def __post_init__(self) -> None:
-        for name in ("mvee_tolerance", "dataset_cap"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        check_bounds(self)
         # dbscan's stencil grows with (eps / resolution)^2 cells
         if not self.clustering.eps <= 10.0 * self.grid.resolution:
             raise ValueError("clustering.eps must be <= 10 * grid.resolution")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._bounds import bounded, check_bounds
 from .._scipy import extension
 from .ellipse import Ellipse
 
@@ -32,19 +33,15 @@ MIN_VELOCITY_AGE = 2   # updates before a track reports velocity
 class TrackerParams:
     """Association gate, velocity spike guard, and filter noise densities."""
 
-    d_max: float = 1.0             # m, association gate on center distance
-    min_speed: float = 0.0         # m/s, report zero below this (spike guard)
-    q_pos: float = 1e-4
-    q_vel: float = 1e-2
-    q_acc: float = 1e-1
-    r_center: float = 4e-4         # (2 cm)^2
+    d_max: float = bounded(1.0, "(0, inf)")       # m, gate on center distance
+    min_speed: float = bounded(0.0, "[0, inf)")   # m/s, zero below this (spike guard)
+    q_pos: float = bounded(1e-4, "[0, inf)")
+    q_vel: float = bounded(1e-2, "[0, inf)")
+    q_acc: float = bounded(1e-1, "[0, inf)")
+    r_center: float = bounded(4e-4, "[0, inf)")   # (2 cm)^2
 
     def __post_init__(self) -> None:
-        if not self.d_max > 0.0:
-            raise ValueError("d_max must be > 0")
-        for name in ("min_speed", "q_pos", "q_vel", "q_acc", "r_center"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
+        check_bounds(self)
         if self.q_pos + self.r_center == 0.0:
             raise ValueError("q_pos + r_center must be > 0")
 

@@ -18,11 +18,12 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
+from ._bounds import bounded, check_bounds
 from .barrier import BarrierParams
 from .controller import ControllerParams
 from .gp import KernelParams
 from .perception.pipeline import PerceptionParams
-from .simworld import MotionSpec, Obstacle, World, LidarSpec
+from .simworld import OBSTACLE_RADIUS, MotionSpec, Obstacle, World, LidarSpec
 
 SCHEMA_VERSION = 1
 
@@ -38,46 +39,37 @@ class ValidationError(Exception):
     """Scenario contents violate the schema; message carries the field path."""
 
 
-def _check_point(name: str, point: tuple[float, float]) -> None:
-    """Bound a start, goal or centre far beyond any scene, so that position /
-    grid resolution and the steps' arithmetic stay finite."""
-    if not all(abs(c) <= 1e6 for c in point):
-        raise ValueError(f"{name} must be in [-1e6, 1e6] on each axis")
+# far beyond any scene; keeps position / resolution and the steps' arithmetic finite
+_COORDINATE = "[-1e6, 1e6]"
 
 
 @dataclass(frozen=True)
 class RobotConfig:
-    start: tuple[float, float] = (-8.0, 3.0)
+    start: tuple[float, float] = bounded((-8.0, 3.0), _COORDINATE)
     heading: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_point("start", self.start)
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class GoalConfig:
-    position: tuple[float, float]
-    arrival_radius: float = 0.05
+    position: tuple[float, float] = bounded(MISSING, _COORDINATE)
+    arrival_radius: float = bounded(0.05, "(0, inf)")
 
     def __post_init__(self) -> None:
-        _check_point("position", self.position)
-        if not self.arrival_radius > 0.0:
-            raise ValueError("arrival_radius must be > 0")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class ObstacleConfig:
     obstacle_id: str
-    radius: float
-    center: tuple[float, float]
+    radius: float = bounded(MISSING, OBSTACLE_RADIUS)
+    center: tuple[float, float] = bounded(MISSING, _COORDINATE)
     motion: MotionSpec = field(default_factory=MotionSpec)
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise ValueError("radius must be > 0")
-        if not self.radius <= 1e3:
-            raise ValueError("radius must be <= 1e3")
-        _check_point("center", self.center)
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -86,9 +78,9 @@ class ScenarioConfig:
     goal: GoalConfig
     robot: RobotConfig = field(default_factory=RobotConfig)
     obstacles: tuple[ObstacleConfig, ...] = ()
-    seed: int = 0
-    dt: float = 0.05
-    max_time: float = 60.0
+    seed: int = bounded(0, "[0, inf)")
+    dt: float = bounded(0.05, "(0, 1]")
+    max_time: float = bounded(60.0, "(0, inf)")
     controller: ControllerParams = field(default_factory=ControllerParams)
     barrier: BarrierParams = field(default_factory=BarrierParams)
     kernel: KernelParams = field(default_factory=KernelParams)
@@ -96,13 +88,7 @@ class ScenarioConfig:
     sensor: LidarSpec = field(default_factory=LidarSpec)
 
     def __post_init__(self) -> None:
-        for name in ("dt", "max_time"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.dt <= 1.0:
-            raise ValueError("dt must be <= 1")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
+        check_bounds(self)
         # the quotient overflows to inf before round() could refuse it
         if not (self.max_time / self.dt < MAX_STEPS + 1
                 and self.max_steps <= MAX_STEPS):

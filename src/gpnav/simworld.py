@@ -4,10 +4,12 @@ and a planar ray-cast range sensor."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from ._bounds import bounded, check_bounds
 
 
 def wrap_angle(theta: float) -> float:
@@ -31,28 +33,24 @@ class RobotState:
 
 MOTION_KINDS = ("static", "velocity", "sinusoid")
 
+# m; a larger radius could overflow the LiDAR cast and radius**2
+OBSTACLE_RADIUS = "(0, 1e3]"
+
 
 @dataclass(frozen=True)
 class MotionSpec:
     """Obstacle motion: static, constant velocity, or sinusoidal oscillation."""
 
     kind: str = "static"
-    velocity: tuple[float, float] = (0.0, 0.0)
+    velocity: tuple[float, float] = bounded((0.0, 0.0), "[-1e3, 1e3]")  # as u_max
     axis: tuple[float, float] = (1.0, 0.0)
-    amplitude: float = 0.0
-    period: float = 1.0
+    amplitude: float = bounded(0.0, "[0, 1e6]")     # as a coordinate
+    period: float = bounded(1.0, "[1e-3, inf)")     # keeps 2 pi t / period finite
 
     def __post_init__(self) -> None:
         if self.kind not in MOTION_KINDS:
             raise ValueError(f"unknown motion kind {self.kind!r}")
-        # the bounds of u_max and of a coordinate keep the centres finite
-        if not all(abs(c) <= 1e3 for c in self.velocity):
-            raise ValueError("velocity must be in [-1e3, 1e3] on each axis")
-        if not 0.0 <= self.amplitude <= 1e6:
-            raise ValueError("amplitude must be in [0, 1e6]")
-        # keeps the phase 2 pi t / period finite for any accepted episode
-        if not self.period >= 1e-3:
-            raise ValueError("period must be >= 1e-3")
+        check_bounds(self)
         # a direction has no scale; this keeps np.linalg.norm in _unit finite
         if not 1e-6 <= math.hypot(*self.axis) <= 1e6:
             raise ValueError("axis length must be in [1e-6, 1e6]")
@@ -66,13 +64,12 @@ class Obstacle:
     """
 
     obstacle_id: str
-    radius: float
+    radius: float = bounded(MISSING, OBSTACLE_RADIUS)
     spawn: np.ndarray
     motion: MotionSpec = field(default_factory=MotionSpec)
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ValueError("obstacle radius must be > 0")
+        check_bounds(self)
         self.spawn = np.asarray(self.spawn, dtype=float)
 
 
@@ -135,21 +132,12 @@ class World:
 
 @dataclass(frozen=True)
 class LidarSpec:
-    beam_count: int = 360
-    max_range: float = 6.0
-    noise_sigma: float = 0.0       # m, Gaussian range noise on hits
+    beam_count: int = bounded(360, "(0, 7200]")      # 0.05 degrees apart
+    max_range: float = bounded(6.0, "(0, 1e6]")      # m, the coordinate bound
+    noise_sigma: float = bounded(0.0, "[0, inf)")    # m, Gaussian range noise on hits
 
     def __post_init__(self) -> None:
-        if not self.beam_count > 0:
-            raise ValueError("beam_count must be > 0")
-        if not self.beam_count <= 7200:            # 0.05 degrees apart
-            raise ValueError("beam_count must be <= 7200")
-        if not self.max_range > 0.0:
-            raise ValueError("max_range must be > 0")
-        if not self.max_range <= 1e6:      # m, the coordinate bound
-            raise ValueError("max_range must be <= 1e6")
-        if not self.noise_sigma >= 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        check_bounds(self)
 
 
 @dataclass

@@ -1,12 +1,17 @@
 """Shared helpers: harvesting frame datasets from the real perception stack,
-and the one hypothesis profile of the suite."""
+the shipped episodes run once per session, and the one hypothesis profile of
+the suite."""
+
+import functools
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from gpnav.barrier import build_datasets
+from gpnav.episode import RunFiles, run_episode
 from gpnav.perception.pipeline import PerceptionPipeline
-from gpnav.scenario import build_world, load_scenario, resolve_scenario
+from gpnav.scenario import build_world, load_scenario, resolve_scenario, with_variant
 from gpnav.simworld import RobotState, cast_lidar
 
 # every property test draws the same examples on each run and keeps no
@@ -17,6 +22,20 @@ settings.load_profile("reproducible")
 
 SUITE_NAMES = ("static_slalom", "head_on", "crossing", "mixed_field",
                "narrow_gap")
+
+
+@pytest.fixture(scope="session")
+def suite_episode():
+    """suite_episode(name, variant) -> (log, metrics, files): one shipped
+    scenario run under one controller variant, each pair at most once per
+    session. files is the run's RunFiles observer; it keeps the perception
+    records of the dlgp runs."""
+    @functools.cache
+    def run(name, variant):
+        cfg = with_variant(load_scenario(resolve_scenario(name)), variant)
+        files = RunFiles(dump_perception=variant == "dlgp")
+        return (*run_episode(cfg, on_step=files), files)
+    return run
 
 
 def pipeline_datasets(count, scenario_names=SUITE_NAMES):

@@ -14,12 +14,12 @@ import pytest
 
 from gpnav.barrier import BarrierParams, evaluate, evaluate_full
 from gpnav.bench import bench_barrier, check_gradients
-from gpnav.episode import RunFiles, compare, comparison_json, run_episode
+from gpnav.episode import compare, comparison_json
 from gpnav.gp import KernelParams, build_model
 from gpnav.perception.ellipse import Ellipse
 from gpnav.perception.tracking import (TrackerParams, kalman_step,
                                        linear_sum_assignment, new_track)
-from gpnav.scenario import load_scenario, resolve_scenario, with_variant
+from gpnav.scenario import load_scenario, resolve_scenario
 
 from conftest import pipeline_datasets
 
@@ -31,20 +31,19 @@ TREND_SCENARIOS = ("head_on", "crossing", "mixed_field")
 
 
 @pytest.fixture(scope="module")
-def suite_runs(tmp_path_factory):
-    """One cached episode per (scenario, variant) needed by criteria 6, 8, 9."""
+def suite_runs(suite_episode, tmp_path_factory):
+    """The session's episode per (scenario, variant) needed by criteria 6, 8, 9."""
     root = tmp_path_factory.mktemp("suite")
     runs = {}
     for name in SUITE:
         cfg = load_scenario(resolve_scenario(name))
         out = root / name
-        files = RunFiles(dump_perception=True)
-        runs[(name, "dlgp")] = run_episode(cfg, on_step=files)
-        files.write(out, cfg, *runs[(name, "dlgp")])
+        log, metrics, files = suite_episode(name, "dlgp")
+        runs[(name, "dlgp")] = log, metrics
+        files.write(out, cfg, log, metrics)
         runs[(name, "dlgp", "out_dir")] = out
     for name in TREND_SCENARIOS:
-        cfg = with_variant(load_scenario(resolve_scenario(name)), "dlgp-no-dhdt")
-        runs[(name, "dlgp-no-dhdt")] = run_episode(cfg)
+        runs[(name, "dlgp-no-dhdt")] = suite_episode(name, "dlgp-no-dhdt")[:2]
     return runs
 
 

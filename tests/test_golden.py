@@ -1,7 +1,8 @@
 """Byte-for-byte regressions against tests/golden/.
 
-The shipped scenarios' comparison.json, and the sha256 of each file that
-``gpnav run head_on --out-dir D --dump-field --dump-perception`` writes,
+The shipped scenarios' comparison.json, built as compare() builds it from
+the session's episodes (conftest.suite_episode), and the sha256 of each file
+that ``gpnav run head_on --out-dir D --dump-field --dump-perception`` writes,
 with its wall-clock timing columns and keys left out. A change that alters
 behaviour on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and states the diff in
@@ -28,6 +29,7 @@ TIMING_KEYS = {"mean_barrier_time_ms"}
 
 
 def shipped_comparison(name: str) -> str:
+    """comparison.json of one shipped scenario, as `gpnav compare` builds it."""
     cfg = load_scenario(resolve_scenario(name))
     return comparison_json(compare(cfg, VARIANTS))
 
@@ -58,9 +60,12 @@ def run_file_digests() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_shipped_comparison_json_matches_golden(name):
+def test_shipped_comparison_json_matches_golden(name, suite_episode):
+    # the session's episodes: each is compare()'s run of that variant, with a
+    # read-only observer attached
     golden = GOLDEN / f"{name}.comparison.json"
-    assert shipped_comparison(name).encode() == golden.read_bytes(), (
+    results = {variant: suite_episode(name, variant)[1] for variant in VARIANTS}
+    assert comparison_json(results).encode() == golden.read_bytes(), (
         f"{name}: comparison.json differs from {golden}. If the change alters "
         "behaviour on purpose, regenerate it with `PYTHONPATH=src python "
         "tests/test_golden.py` and state the diff in CHANGES.md.")

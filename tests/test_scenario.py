@@ -8,7 +8,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -278,17 +278,25 @@ def test_every_key_lands_in_its_field(tmp_path):
     assert load_scenario(path) == expected
 
 
-def test_every_schema_annotation_has_a_reader():
-    # a field whose annotation the reader cannot read fails here, not on load
+def schema_classes() -> set[type]:
+    """ScenarioConfig and every params class reachable from its annotations."""
     seen, todo = set(), [ScenarioConfig]
     while todo:
         cls = todo.pop()
         seen.add(cls)
+        for hint in get_type_hints(cls).values():
+            todo += [t for t in (hint, *get_args(hint))
+                     if is_dataclass(t) and t not in seen]
+    return seen
+
+
+def test_every_schema_annotation_has_a_reader():
+    # a field whose annotation the reader cannot read fails here, not on load
+    seen = schema_classes()
+    for cls in seen:
         for name, hint in get_type_hints(cls).items():
             assert hint in scenario._READERS or is_dataclass(hint), \
                 f"{cls.__name__}.{name}: no reader for {hint}"
-            todo += [t for t in (hint, *get_args(hint))
-                     if is_dataclass(t) and t not in seen]
     assert seen == {ScenarioConfig, GoalConfig, RobotConfig, ObstacleConfig,
                     MotionSpec, ControllerParams, BarrierParams, KernelParams,
                     PerceptionParams, ClusteringParams, GridSpec, TrackerParams,
@@ -329,16 +337,16 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
     ("obstacles[2].motion.axis", [0.0, 0.0],
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
     ("seed", -1, "seed must be >= 0"),
-    ("sensor.beams", 0, "sensor: beams must be > 0"),
-    ("sensor.beams", 7201, "sensor: beams must be <= 7200"),
-    ("perception.grid.width", 1001, "perception.grid: grid width must be <= 1000"),
+    ("sensor.beams", 0, "sensor: beams must be in (0, 7200]"),
+    ("sensor.beams", 7201, "sensor: beams must be in (0, 7200]"),
+    ("perception.grid.width", 1001, "perception.grid: width must be in (0, 1000]"),
     ("perception.grid.height", 1001,
-     "perception.grid: grid height must be <= 1000"),
-    ("kernel.length_scale", 1.0e300, "kernel: length_scale must be <= 1e3"),
-    ("kernel.jitter", 1.0000000000000002, "kernel: jitter must be <= 1"),
-    ("obstacles[0].radius", 1.0e160, "obstacles[0]: radius must be <= 1e3"),
+     "perception.grid: height must be in (0, 1000]"),
+    ("kernel.length_scale", 1.0e300, "kernel: length_scale must be in [1e-3, 1e3]"),
+    ("kernel.jitter", 1.0000000000000002, "kernel: jitter must be in [0, 1]"),
+    ("obstacles[0].radius", 1.0e160, "obstacles[0]: radius must be in (0, 1e3]"),
     ("perception.grid.resolution", 1.0e300,
-     "perception.grid: grid resolution must be <= 1e3"),
+     "perception.grid: resolution must be in [1e-3, 1e3]"),
     ("perception.clustering.eps", -0.5, "perception.clustering: eps must be > 0"),
     ("perception.clustering.min_pts", 0,
      "perception.clustering: min_pts must be > 0"),
@@ -352,10 +360,12 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
     ("obstacles[1].center", [1.000001e6, 0.0],
      "obstacles[1]: center must be in [-1e6, 1e6] on each axis"),
     ("perception.grid.resolution", 1.0e-308,
-     "perception.grid: grid resolution must be >= 1e-3"),
-    ("controller.u_max", 1.0e308, "controller: u_max must be <= 1e3"),
-    ("controller.v_max", 1000.001, "controller: v_max must be <= 1e3"),
-    ("dt", 1.0e306, "dt must be <= 1"),
+     "perception.grid: resolution must be in [1e-3, 1e3]"),
+    ("controller.u_max", 1.0e308, "controller: u_max must be in (0, 1e3]"),
+    ("controller.v_max", 1000.001, "controller: v_max must be in (0, 1e3]"),
+    # the id names the rule broken; the message prints the whole interval
+    pytest.param("dt", 1.0e306, "dt must be in (0, 1]",
+                 id="dt-1e+306-dt must be <= 1"),
     ("obstacles[1].motion.velocity", [0.0, -1000.001],
      "obstacles[1].motion: velocity must be in [-1e3, 1e3] on each axis"),
     ("obstacles[2].motion.amplitude", 1.000001e6,
@@ -364,11 +374,11 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
     ("obstacles[2].motion.axis", [0.0, 0.999999e-6],
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
-    ("barrier.scale", 1.0e160, "barrier: scale must be <= 1e6"),
-    ("sensor.max_range", 1.000001e6, "sensor: max_range must be <= 1e6"),
+    ("barrier.scale", 1.0e160, "barrier: scale must be in (0, 1e6]"),
+    ("sensor.max_range", 1.000001e6, "sensor: max_range must be in (0, 1e6]"),
     ("obstacles[2].motion.period", 9.99e-4,
      "obstacles[2].motion: period must be >= 1e-3"),
-    ("kernel.length_scale", 9.99e-4, "kernel: length_scale must be >= 1e-3"),
+    ("kernel.length_scale", 9.99e-4, "kernel: length_scale must be in [1e-3, 1e3]"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -376,6 +386,94 @@ def test_class_bounds_exit_two_with_section_and_field(key, value, message,
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+def sections(instance, data, path=""):
+    """(YAML path, mapping, params instance) of a section of FULL and of
+    every section below it, obstacles included; keys follow _RENAMES."""
+    yield path, data, instance
+    renames = scenario._RENAMES.get(type(instance), {})
+    for f in fields(instance):
+        key = renames.get(f.name, f.name)
+        value = getattr(instance, f.name)
+        if is_dataclass(value):
+            yield from sections(value, data.get(key, {}), scenario._join(path, key))
+        elif f.name == "obstacles":
+            for index, (entry, obstacle) in enumerate(zip(data[key], value)):
+                yield from sections(obstacle, entry, f"{key}[{index}]")
+
+
+def just_past(bound, integer):
+    """(end name, value) just outside each finite end of an interval: the end
+    itself when open, else the next integer or float beyond it."""
+    for name, end, closed, away in (("low", bound.low, bound.low_closed, -1),
+                                    ("high", bound.high, bound.high_closed, 1)):
+        if math.isinf(end):
+            continue
+        if not closed:
+            yield name, int(end) if integer else end
+        else:
+            yield name, (int(end) + away if integer
+                         else math.nextafter(end, away * math.inf))
+
+
+def declared_cases():
+    """One case per finite end of every declared interval, each field taken
+    at its first key in FULL (a motion field on the obstacle whose motion
+    type takes it)."""
+    cases, seen = [], set()
+    for path, data, instance in sections(scenario_from_dict(FULL), FULL):
+        renames = scenario._RENAMES.get(type(instance), {})
+        for f in fields(instance):
+            key = renames.get(f.name, f.name)
+            bound = f.metadata.get("bound")
+            if bound is None or key not in data or (type(instance), f.name) in seen:
+                continue
+            seen.add((type(instance), f.name))
+            value = getattr(instance, f.name)
+            pair = isinstance(value, tuple)
+            full_key = scenario._join(path, key)
+            for end, past in just_past(bound, isinstance(value, int)):
+                # a pair is pushed out on its first coordinate only
+                past_value = (past, value[1]) if pair else past
+                cases.append(pytest.param(
+                    instance, f.name, full_key, past_value,
+                    f"{key} {bound.rule}" + (" on each axis" if pair else ""),
+                    id=f"{full_key}-{end}"))
+    return cases
+
+
+DECLARED_CASES = declared_cases()
+
+
+def test_the_derived_cases_cover_every_declared_bound():
+    declared = {(cls, f.name) for cls in schema_classes() for f in fields(cls)
+                if "bound" in f.metadata}
+    covered = {(type(case.values[0]), case.values[1]) for case in DECLARED_CASES}
+    assert covered == declared
+
+
+@pytest.mark.parametrize("instance, name, key, value, message", DECLARED_CASES)
+def test_each_declared_end_is_refused_just_past_it(instance, name, key, value,
+                                                   message, tmp_path, capsys):
+    section = key.rpartition(".")[0]
+    yaml_value = list(value) if isinstance(value, tuple) else value
+    assert run_file(tmp_path, with_value(key, yaml_value)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {section + ': ' if section else ''}{message}\n"
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        replace(instance, **{name: value})
+
+
+def test_readme_bounds_table_equals_the_declarations():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", readme, re.MULTILINE)
+    declared = {(re.sub(r"\[\d+\]", "[i]", case.values[2]),
+                 case.values[4].split(" must be ")[1].removeprefix("in ")
+                 .removesuffix(" on each axis"))
+                for case in DECLARED_CASES}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == declared
 
 
 def test_every_bound_at_its_limit_runs_without_a_traceback(tmp_path, capsys):
@@ -433,76 +531,94 @@ def signed(high):
                      nonnegative(high), st.booleans())
 
 
+def inside(cls, name):
+    """Values inside a field's declared interval: integers uniform up to 2**64;
+    floats log-uniform on (0, high], with 0 when the interval is closed there,
+    or on [low, high] above 0, and a signed magnitude when it is symmetric."""
+    f = cls.__dataclass_fields__[name]
+    bound = f.metadata["bound"]
+    if f.type == "int":
+        return st.integers(int(bound.low) + (not bound.low_closed),
+                           2**64 if math.isinf(bound.high) else int(bound.high))
+    high = min(bound.high, HUGE)
+    if bound.low == -bound.high:
+        return signed(high)
+    if bound.low == 0.0:
+        return nonnegative(high) if bound.low_closed else positive(high)
+    return log_uniform(bound.low, high)
+
+
 @st.composite
 def in_bound_scenarios(draw):
-    """A scenario with every value inside its bound, each float drawn
-    log-uniform across its range; sizes, obstacles and episode length fit a
-    small budget, and each obstacle's edge lies within 4 m of the start."""
-    dt = draw(positive(1.0))
-    q_pos = draw(nonnegative())
-    resolution = draw(log_uniform(1e-3, 1e3))
-    start = [draw(signed(1e6)), draw(signed(1e6))]
+    """A scenario with every value inside its declared bound, each float
+    drawn log-uniform across its range; sizes, obstacles and episode length
+    fit a small budget, and each obstacle's edge lies within 4 m of the start."""
+    def drawn(cls, *names):
+        return {name: draw(inside(cls, name)) for name in names}
+
+    dt = draw(inside(ScenarioConfig, "dt"))
+    q_pos = draw(inside(TrackerParams, "q_pos"))
+    resolution = draw(inside(GridSpec, "resolution"))
+    start = [draw(inside(RobotConfig, "start")) for _ in range(2)]
 
     def motion():
         kind = draw(st.sampled_from(MOTION_KINDS))
         if kind == "velocity":
             return {"type": kind,
-                    "velocity": [draw(signed(1e3)), draw(signed(1e3))]}
+                    "velocity": [draw(inside(MotionSpec, "velocity"))
+                                 for _ in range(2)]}
         if kind == "static":
             return {"type": kind}
         angle = draw(st.floats(-math.pi, math.pi))
         length = draw(log_uniform(1e-6, 1e6))
-        return {"type": kind, "period": draw(log_uniform(1e-3, HUGE)),
+        return {"type": kind, "period": draw(inside(MotionSpec, "period")),
                 "axis": [length * math.cos(angle), length * math.sin(angle)],
-                "amplitude": draw(nonnegative(1e6))}
+                "amplitude": draw(inside(MotionSpec, "amplitude"))}
 
     def obstacle(index):
         # the edge lies 0.1 to 4 m from the start
-        radius = draw(positive(1e3))
+        radius = draw(inside(ObstacleConfig, "radius"))
         angle = draw(st.floats(-math.pi, math.pi))
         distance = radius + draw(st.floats(0.1, 4.0))
-        center = [min(1e6, max(-1e6, c + distance * f(angle)))
+        limit = ObstacleConfig.__dataclass_fields__["center"].metadata["bound"].high
+        center = [min(limit, max(-limit, c + distance * f(angle)))
                   for c, f in zip(start, (math.cos, math.sin))]
         return {"id": f"o{index}", "radius": radius, "center": center,
                 "motion": motion()}
 
     obstacles = [obstacle(index) for index in range(draw(st.integers(1, 4)))]
     return {
-        "schema": 1, "name": "drawn", "seed": draw(st.integers(0, 2**64)),
+        "schema": 1, "name": "drawn", "seed": draw(inside(ScenarioConfig, "seed")),
         # 1 to 40 steps of dt, and at most 1 s
         "dt": dt, "max_time": min(1.0, draw(st.integers(1, 40)) * dt),
         "robot": {"start": start, "heading": draw(signed(HUGE))},
-        "goal": {"position": [draw(signed(1e6)), draw(signed(1e6))],
-                 "arrival_radius": draw(positive())},
+        "goal": {"position": [draw(inside(GoalConfig, "position"))
+                              for _ in range(2)],
+                 **drawn(GoalConfig, "arrival_radius")},
         "obstacles": obstacles,
-        "controller": {"alpha_slope": draw(positive()),
-                       "lead_offset": draw(positive()),
-                       "u_max": draw(positive(1e3)), "v_max": draw(positive(1e3)),
-                       "omega_max": draw(positive()),
+        "controller": {**drawn(ControllerParams, "alpha_slope", "lead_offset",
+                               "u_max", "v_max", "omega_max"),
                        "variant": draw(st.sampled_from(VARIANTS))},
-        "barrier": {"scale": draw(positive(1e6)),
-                    "margin_shift": draw(positive()),
-                    "mu_floor": draw(positive(1e-9))},
-        "kernel": {"length_scale": draw(log_uniform(1e-3, 1e3)),
-                   "jitter": draw(nonnegative(1.0))},
+        "barrier": drawn(BarrierParams, "scale", "margin_shift", "mu_floor"),
+        "kernel": drawn(KernelParams, "length_scale", "jitter"),
         "perception": {
             "grid": {"width": draw(st.integers(1, 120)),
                      "height": draw(st.integers(1, 120)),
                      "resolution": resolution},
             "clustering": {"eps": draw(positive(10.0 * resolution)),
-                           "min_pts": draw(st.integers(1, 2**64))},
-            "mvee_tolerance": draw(positive()),
+                           **drawn(ClusteringParams, "min_pts")},
+            **drawn(PerceptionParams, "mvee_tolerance"),
             "dataset_cap": draw(st.integers(1, 100)),
-            "tracker": {"d_max": draw(positive()), "min_speed": draw(nonnegative()),
-                        "q_pos": q_pos, "q_vel": draw(nonnegative()),
-                        "q_acc": draw(nonnegative()),
+            "tracker": {**drawn(TrackerParams, "d_max", "min_speed"),
+                        "q_pos": q_pos, **drawn(TrackerParams, "q_vel", "q_acc"),
                         # q_pos + r_center must be > 0
-                        "r_center": draw(nonnegative() if q_pos else positive())}},
+                        "r_center": draw(inside(TrackerParams, "r_center")
+                                         if q_pos else positive())}},
         "sensor": {"beams": draw(st.integers(1, 720)),
                    # half the draws reach 4 m, so that the GP sees obstacles
-                   "max_range": draw(st.one_of(positive(1e6),
+                   "max_range": draw(st.one_of(inside(LidarSpec, "max_range"),
                                                log_uniform(4.0, 1e6))),
-                   "noise_sigma": draw(nonnegative())},
+                   **drawn(LidarSpec, "noise_sigma")},
     }
 
 
@@ -548,13 +664,7 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=0.0), "dt"),
     (lambda: ControllerParams(u_max=float("nan")), "u_max"),
     (lambda: TrackerParams(min_speed=float("nan")), "min_speed"),
-    (lambda: KernelParams(length_scale=1.0e300), "length_scale must be <= 1e3"),
-    (lambda: KernelParams(jitter=float("inf")), "jitter must be <= 1"),
-    (lambda: ObstacleConfig("a", 1.0e160, (0.0, 0.0)), "radius must be <= 1e3"),
-    (lambda: GridSpec(resolution=1.0e300), "resolution must be <= 1e3"),
-    (lambda: GridSpec(width=1001), "width must be <= 1000"),
-    (lambda: GridSpec(height=1001), "height must be <= 1000"),
-    (lambda: LidarSpec(beam_count=7201), "beam_count must be <= 7200"),
+    (lambda: LidarSpec(beam_count=7201), "beam_count must be in"),
     (lambda: ClusteringParams(eps=0.0), "eps must be > 0"),
     (lambda: ClusteringParams(min_pts=0), "min_pts must be > 0"),
     (lambda: PerceptionParams(clustering=ClusteringParams(eps=2.01)),
@@ -562,17 +672,16 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     (lambda: RobotConfig(start=(1.0e308, 3.0)), "start must be in"),
     (lambda: GoalConfig((0.0, -1.0e7)), "position must be in"),
     (lambda: ObstacleConfig("a", 1.0, (float("nan"), 0.0)), "center must be in"),
-    (lambda: GridSpec(resolution=1.0e-308), "resolution must be >= 1e-3"),
-    (lambda: ControllerParams(u_max=1.0e308), "u_max must be <= 1e3"),
-    (lambda: ControllerParams(v_max=1.0e300), "v_max must be <= 1e3"),
-    (lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=1.0e306,
-                            max_time=2.0e306), "dt must be <= 1"),
+    (lambda: GridSpec(resolution=1.0e-308), "resolution must be in"),
+    pytest.param(lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=1.0e306,
+                                        max_time=2.0e306),
+                 r"dt must be in \(0, 1\]", id="<lambda>-dt must be <= 1"),
     (lambda: MotionSpec("velocity", velocity=(1000.001, 0.0)), "velocity must be in"),
     (lambda: MotionSpec("sinusoid", amplitude=1.000001e6), r"amplitude must be in \[0, 1e6\]"),
     (lambda: MotionSpec("sinusoid", axis=(-1.0e6, 1.0)), "axis length must be in"),
     (lambda: MotionSpec("sinusoid", axis=(0.999999e-6, 0.0)), "axis length must be in"),
     (lambda: MotionSpec("sinusoid", period=9.99e-4), r"period must be >= 1e-3"),
-    (lambda: KernelParams(length_scale=9.99e-4), r"length_scale must be >= 1e-3"),
+    (lambda: KernelParams(length_scale=9.99e-4), "length_scale must be in"),
 ])
 def test_direct_construction_enforces_the_schema_bounds(build, field_name):
     with pytest.raises(ValueError, match=field_name):

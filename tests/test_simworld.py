@@ -119,6 +119,10 @@ class TestObstacles:
             MotionSpec(kind="sinusoid", period=0.0)
         with pytest.raises(ValueError):
             Obstacle("bad", 0.0, np.zeros(2))
+        # past the bound, World's radius**2 raised OverflowError
+        for radius in (float("nan"), 1e160):
+            with pytest.raises(ValueError, match="radius must be in"):
+                Obstacle("bad", radius, np.zeros(2))
 
 
 class TestLidar:

@@ -41,6 +41,10 @@ def test_values_inside_or_undeclared_pass(values):
     ({"point": (math.nan, 0.0)}, r"point must be in \[-1e3, 1e3\] on each axis"),
     ({"count": 0}, r"count must be in \(0, 10\]"),
     ({"count": 11}, r"count must be in \(0, 10\]"),
+    # far past an end, where a value's magnitude, not its last bit, is wrong
+    ({"share": 1e308}, r"share must be in \[0, 1\]$"),
+    ({"point": (0.0, -1e308)}, r"point must be in \[-1e3, 1e3\] on each axis"),
+    ({"count": 2**64}, r"count must be in \(0, 10\]"),
 ])
 def test_first_value_outside_its_interval_is_refused(values, message):
     with pytest.raises(ValueError, match=f"^{message}"):

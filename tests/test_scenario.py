@@ -218,20 +218,39 @@ FULL = {
     "sensor": {"beams": 90, "max_range": 5.0, "noise_sigma": 0.01},
 }
 
+
+def sections(instance, data, path=""):
+    """(YAML path, mapping, params instance) of a section of FULL and of
+    every section below it, obstacles included; keys follow _RENAMES."""
+    yield path, data, instance
+    renames = scenario._RENAMES.get(type(instance), {})
+    for f in fields(instance):
+        key = renames.get(f.name, f.name)
+        value = getattr(instance, f.name)
+        if is_dataclass(value):
+            yield from sections(value, data.get(key, {}), scenario._join(path, key))
+        elif f.name == "obstacles":
+            for index, (entry, obstacle) in enumerate(zip(data[key], value)):
+                yield from sections(obstacle, entry, f"{key}[{index}]")
+
+
+def first_keys():
+    """(section path, key, params instance, field) of every field of FULL,
+    each field taken at its first key (a motion field on the obstacle whose
+    motion type takes it)."""
+    seen = set()
+    for path, data, instance in sections(scenario_from_dict(FULL), FULL):
+        renames = scenario._RENAMES.get(type(instance), {})
+        for f in fields(instance):
+            key = renames.get(f.name, f.name)
+            if key in data and (type(instance), f.name) not in seen:
+                seen.add((type(instance), f.name))
+                yield path, key, instance, f
+
+
 # the float keys of FULL, as an error message names them
-FLOAT_KEYS = [
-    "dt", "max_time", "robot.heading", "goal.arrival_radius",
-    "obstacles[0].radius", "obstacles[2].motion.amplitude",
-    "obstacles[2].motion.period",
-    *(f"controller.{k}" for k in ("alpha_slope", "lead_offset", "u_max", "v_max",
-                                  "omega_max")),
-    *(f"barrier.{k}" for k in ("scale", "margin_shift", "mu_floor")),
-    "kernel.length_scale", "kernel.jitter", "perception.grid.resolution",
-    "perception.clustering.eps", "perception.mvee_tolerance",
-    *(f"perception.tracker.{k}" for k in ("d_max", "min_speed", "q_pos", "q_vel",
-                                          "q_acc", "r_center")),
-    "sensor.max_range", "sensor.noise_sigma",
-]
+FLOAT_KEYS = [scenario._join(path, key) for path, key, instance, f in first_keys()
+              if get_type_hints(type(instance))[f.name] is float]
 
 
 def with_value(key, value):
@@ -332,53 +351,18 @@ def test_non_finite_numbers_are_refused_by_key(key, value, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# the checks that span more than one value; every single-field bound is
+# checked from its declaration by test_each_declared_end_is_refused_just_past_it
 @pytest.mark.parametrize("key, value, message", [
-    ("barrier.mu_floor", 1.0e-3, "barrier: mu_floor must be in (0, 1e-9]"),
     ("obstacles[2].motion.axis", [0.0, 0.0],
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
-    ("seed", -1, "seed must be >= 0"),
-    ("sensor.beams", 0, "sensor: beams must be in (0, 7200]"),
-    ("sensor.beams", 7201, "sensor: beams must be in (0, 7200]"),
-    ("perception.grid.width", 1001, "perception.grid: width must be in (0, 1000]"),
-    ("perception.grid.height", 1001,
-     "perception.grid: height must be in (0, 1000]"),
-    ("kernel.length_scale", 1.0e300, "kernel: length_scale must be in [1e-3, 1e3]"),
-    ("kernel.jitter", 1.0000000000000002, "kernel: jitter must be in [0, 1]"),
-    ("obstacles[0].radius", 1.0e160, "obstacles[0]: radius must be in (0, 1e3]"),
-    ("perception.grid.resolution", 1.0e300,
-     "perception.grid: resolution must be in [1e-3, 1e3]"),
-    ("perception.clustering.eps", -0.5, "perception.clustering: eps must be > 0"),
-    ("perception.clustering.min_pts", 0,
-     "perception.clustering: min_pts must be > 0"),
-    ("perception.clustering.eps", 2.6,
-     "perception: clustering.eps must be <= 10 * grid.resolution"),
-    ("dt", 1.0e-9, "max_time / dt must be <= 100000 steps"),
-    ("robot.start", [1.0e308, 3.0],
-     "robot: start must be in [-1e6, 1e6] on each axis"),
-    ("goal.position", [0.0, -1.000001e6],
-     "goal: position must be in [-1e6, 1e6] on each axis"),
-    ("obstacles[1].center", [1.000001e6, 0.0],
-     "obstacles[1]: center must be in [-1e6, 1e6] on each axis"),
-    ("perception.grid.resolution", 1.0e-308,
-     "perception.grid: resolution must be in [1e-3, 1e3]"),
-    ("controller.u_max", 1.0e308, "controller: u_max must be in (0, 1e3]"),
-    ("controller.v_max", 1000.001, "controller: v_max must be in (0, 1e3]"),
-    # the id names the rule broken; the message prints the whole interval
-    pytest.param("dt", 1.0e306, "dt must be in (0, 1]",
-                 id="dt-1e+306-dt must be <= 1"),
-    ("obstacles[1].motion.velocity", [0.0, -1000.001],
-     "obstacles[1].motion: velocity must be in [-1e3, 1e3] on each axis"),
-    ("obstacles[2].motion.amplitude", 1.000001e6,
-     "obstacles[2].motion: amplitude must be in [0, 1e6]"),
     ("obstacles[2].motion.axis", [1.0e6, 1.0],
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
     ("obstacles[2].motion.axis", [0.0, 0.999999e-6],
      "obstacles[2].motion: axis length must be in [1e-6, 1e6]"),
-    ("barrier.scale", 1.0e160, "barrier: scale must be in (0, 1e6]"),
-    ("sensor.max_range", 1.000001e6, "sensor: max_range must be in (0, 1e6]"),
-    ("obstacles[2].motion.period", 9.99e-4,
-     "obstacles[2].motion: period must be >= 1e-3"),
-    ("kernel.length_scale", 9.99e-4, "kernel: length_scale must be in [1e-3, 1e3]"),
+    ("perception.clustering.eps", 2.6,
+     "perception: clustering.eps must be <= 10 * grid.resolution"),
+    ("dt", 1.0e-9, "max_time / dt must be <= 100000 steps"),
 ])
 def test_class_bounds_exit_two_with_section_and_field(key, value, message,
                                                       tmp_path, capsys):
@@ -386,21 +370,6 @@ def test_class_bounds_exit_two_with_section_and_field(key, value, message,
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
-
-
-def sections(instance, data, path=""):
-    """(YAML path, mapping, params instance) of a section of FULL and of
-    every section below it, obstacles included; keys follow _RENAMES."""
-    yield path, data, instance
-    renames = scenario._RENAMES.get(type(instance), {})
-    for f in fields(instance):
-        key = renames.get(f.name, f.name)
-        value = getattr(instance, f.name)
-        if is_dataclass(value):
-            yield from sections(value, data.get(key, {}), scenario._join(path, key))
-        elif f.name == "obstacles":
-            for index, (entry, obstacle) in enumerate(zip(data[key], value)):
-                yield from sections(obstacle, entry, f"{key}[{index}]")
 
 
 def just_past(bound, integer):
@@ -418,28 +387,23 @@ def just_past(bound, integer):
 
 
 def declared_cases():
-    """One case per finite end of every declared interval, each field taken
-    at its first key in FULL (a motion field on the obstacle whose motion
-    type takes it)."""
-    cases, seen = [], set()
-    for path, data, instance in sections(scenario_from_dict(FULL), FULL):
-        renames = scenario._RENAMES.get(type(instance), {})
-        for f in fields(instance):
-            key = renames.get(f.name, f.name)
-            bound = f.metadata.get("bound")
-            if bound is None or key not in data or (type(instance), f.name) in seen:
-                continue
-            seen.add((type(instance), f.name))
-            value = getattr(instance, f.name)
-            pair = isinstance(value, tuple)
-            full_key = scenario._join(path, key)
-            for end, past in just_past(bound, isinstance(value, int)):
-                # a pair is pushed out on its first coordinate only
-                past_value = (past, value[1]) if pair else past
-                cases.append(pytest.param(
-                    instance, f.name, full_key, past_value,
-                    f"{key} {bound.rule}" + (" on each axis" if pair else ""),
-                    id=f"{full_key}-{end}"))
+    """One case per finite end of every declared interval, at the field's
+    first key in FULL."""
+    cases = []
+    for path, key, instance, f in first_keys():
+        bound = f.metadata.get("bound")
+        if bound is None:
+            continue
+        value = getattr(instance, f.name)
+        pair = isinstance(value, tuple)
+        full_key = scenario._join(path, key)
+        for end, past in just_past(bound, isinstance(value, int)):
+            # a pair is pushed out on its first coordinate only
+            past_value = (past, value[1]) if pair else past
+            cases.append(pytest.param(
+                instance, f.name, full_key, past_value,
+                f"{key} {bound.rule}" + (" on each axis" if pair else ""),
+                id=f"{full_key}-{end}"))
     return cases
 
 
@@ -631,7 +595,7 @@ def test_every_in_bound_scenario_ends_as_an_outcome(data):
         path = Path(folder) / "drawn.yaml"
         path.write_text(yaml.safe_dump(data))
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            assert main(["run", str(path)]) in (0, 1, 2, 3)
+            assert main(["run", str(path)]) in (0, 1, 3)
 
 
 def test_episode_length_bound_counts_steps_as_the_episode_does():
@@ -654,34 +618,15 @@ def test_negative_seed_flag_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+# the checks that span more than one value, and NaN, which lies past no end
 @pytest.mark.parametrize("build, field_name", [
-    (lambda: TrackerParams(q_vel=-1.0), "q_vel"),
-    (lambda: ControllerParams(alpha_slope=0.0), "alpha_slope"),
-    (lambda: PerceptionParams(mvee_tolerance=0.0), "mvee_tolerance"),
-    (lambda: MotionSpec("sinusoid", amplitude=-1.0), "amplitude"),
-    (lambda: GoalConfig((0.0, 0.0), arrival_radius=0.0), "arrival_radius"),
-    (lambda: ObstacleConfig("a", 0.0, (0.0, 0.0)), "radius"),
-    (lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=0.0), "dt"),
     (lambda: ControllerParams(u_max=float("nan")), "u_max"),
     (lambda: TrackerParams(min_speed=float("nan")), "min_speed"),
-    (lambda: LidarSpec(beam_count=7201), "beam_count must be in"),
-    (lambda: ClusteringParams(eps=0.0), "eps must be > 0"),
-    (lambda: ClusteringParams(min_pts=0), "min_pts must be > 0"),
     (lambda: PerceptionParams(clustering=ClusteringParams(eps=2.01)),
      "clustering.eps must be <= 10"),
-    (lambda: RobotConfig(start=(1.0e308, 3.0)), "start must be in"),
-    (lambda: GoalConfig((0.0, -1.0e7)), "position must be in"),
     (lambda: ObstacleConfig("a", 1.0, (float("nan"), 0.0)), "center must be in"),
-    (lambda: GridSpec(resolution=1.0e-308), "resolution must be in"),
-    pytest.param(lambda: ScenarioConfig("s", GoalConfig((1.0, 0.0)), dt=1.0e306,
-                                        max_time=2.0e306),
-                 r"dt must be in \(0, 1\]", id="<lambda>-dt must be <= 1"),
-    (lambda: MotionSpec("velocity", velocity=(1000.001, 0.0)), "velocity must be in"),
-    (lambda: MotionSpec("sinusoid", amplitude=1.000001e6), r"amplitude must be in \[0, 1e6\]"),
     (lambda: MotionSpec("sinusoid", axis=(-1.0e6, 1.0)), "axis length must be in"),
     (lambda: MotionSpec("sinusoid", axis=(0.999999e-6, 0.0)), "axis length must be in"),
-    (lambda: MotionSpec("sinusoid", period=9.99e-4), r"period must be >= 1e-3"),
-    (lambda: KernelParams(length_scale=9.99e-4), "length_scale must be in"),
 ])
 def test_direct_construction_enforces_the_schema_bounds(build, field_name):
     with pytest.raises(ValueError, match=field_name):
